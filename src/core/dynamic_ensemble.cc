@@ -181,12 +181,8 @@ Status DynamicLshEnsemble::BatchQuery(std::span<const QuerySpec> specs,
     for (size_t i = 0; i < count; ++i) {
       outs[i].clear();
       if (stats != nullptr) {
+        stats[i] = QueryStats{};
         stats[i].query_size_used = static_cast<size_t>(ctx->dynamic_q_[i]);
-        stats[i].partitions_probed = 0;
-        stats[i].partitions_pruned = 0;
-        stats[i].slot0_cache_hits = 0;
-        stats[i].slot0_gallop_resumes = 0;
-        stats[i].tuned.clear();
       }
     }
   }

@@ -1,12 +1,10 @@
 #include "core/lsh_ensemble.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 
 #include "util/clock.h"
-#include "util/instance_id.h"
 #include "util/thread_pool.h"
 
 namespace lshensemble {
@@ -89,22 +87,16 @@ Result<std::vector<PartitionSpec>> ComputePartitions(
 
 LshEnsemble::LshEnsemble(LshEnsembleOptions options,
                          std::shared_ptr<const HashFamily> family)
-    : options_(std::move(options)),
-      family_(std::move(family)),
-      instance_id_(NextInstanceId()) {}
+    : options_(std::move(options)), family_(std::move(family)) {}
 
 size_t QueryContext::MemoryBytes() const {
   size_t bytes = 0;
   for (const auto& shard : shards_) {
     bytes += sizeof(Shard) + shard->probe.MemoryBytes() +
-             shard->tuned.capacity() * sizeof(TunedParams) +
-             shard->probed.capacity() +
              shard->chunk_q.capacity() * sizeof(double) +
              shard->filter_hashes.capacity() * sizeof(uint64_t) +
-             shard->filter_admit.capacity();
-  }
-  for (const auto& partial : partials_) {
-    bytes += partial.capacity() * sizeof(uint64_t);
+             shard->filter_admit.capacity() +
+             shard->stats.capacity() * sizeof(QueryStats);
   }
   bytes += statuses_.capacity() * sizeof(Status);
   bytes += dynamic_q_.capacity() * sizeof(double);
@@ -311,29 +303,6 @@ inline void AssertUniqueCandidates(const std::vector<uint64_t>& ids) {
 #endif
 }
 
-inline void FillStats(QueryStats* stats, size_t q,
-                      const std::vector<uint8_t>& probed,
-                      const std::vector<TunedParams>& tuned,
-                      size_t filter_skipped = 0, uint64_t slot0_hits = 0,
-                      uint64_t slot0_gallops = 0) {
-  if (stats == nullptr) return;
-  stats->query_size_used = q;
-  stats->partitions_probed = 0;
-  stats->partitions_pruned = 0;
-  stats->partitions_filter_skipped = filter_skipped;
-  stats->slot0_cache_hits = slot0_hits;
-  stats->slot0_gallop_resumes = slot0_gallops;
-  stats->tuned.clear();
-  for (size_t i = 0; i < probed.size(); ++i) {
-    if (probed[i]) {
-      ++stats->partitions_probed;
-      stats->tuned.push_back(tuned[i]);
-    } else {
-      ++stats->partitions_pruned;
-    }
-  }
-}
-
 /// Stage the pre-mixed probe-filter keys of `query`: one hash per tree,
 /// derived with exactly the slot-0 truncation Probe matches on. Written to
 /// `out[0 .. num_trees)`.
@@ -347,13 +316,8 @@ inline void StageFilterHashes(const MinHash& query, int num_trees, int depth,
   }
 }
 
-/// True when `filter` may contain any of the first `b` staged tree keys —
-/// i.e. the probe could surface candidates. False answers are exact, so a
-/// rejected probe can be skipped without changing the candidate set.
-/// The per-query deadline gate (QuerySpec::deadline_ns). Checked before
-/// any probing and again between partition probes, so an expensive
-/// partition can overrun a deadline by at most one probe, never by the
-/// rest of the sweep.
+/// The per-query deadline gate (QuerySpec::deadline_ns), checked before
+/// any probing; the kernel re-checks it once per partition row.
 inline Status CheckDeadline(uint64_t deadline_ns) {
   if (DeadlineExpired(deadline_ns)) {
     return Status::DeadlineExceeded("query deadline expired");
@@ -361,6 +325,9 @@ inline Status CheckDeadline(uint64_t deadline_ns) {
   return Status::OK();
 }
 
+/// True when `filter` may contain any of the first `b` staged tree keys —
+/// i.e. the probe could surface candidates. False answers are exact, so a
+/// rejected probe can be skipped without changing the candidate set.
 inline bool FilterAdmits(const ProbeFilter& filter, const uint64_t* hashes,
                          int b) {
   // Prefetch every block first: a reject must miss on all b trees, and
@@ -396,99 +363,18 @@ Status LshEnsemble::ValidateSpec(const QuerySpec& spec, size_t* q) const {
   return Status::OK();
 }
 
-Status LshEnsemble::QueryOne(const QuerySpec& spec, QueryContext::Shard* shard,
-                             std::vector<uint64_t>* out,
-                             QueryStats* stats) const {
-  size_t q = 0;
-  LSHE_RETURN_IF_ERROR(ValidateSpec(spec, &q));
-  LSHE_RETURN_IF_ERROR(CheckDeadline(spec.deadline_ns));
-  out->clear();
-  const auto qd = static_cast<double>(q);
-  const size_t n = specs_.size();
-
-  // Batches often carry runs of queries with the same cardinality and
-  // threshold (uniform workloads, repeated queries); the tuned (b, r) per
-  // partition is then identical, so skip even the tuner's cache lookups.
-  // (The tuned.size() check guards the moved-from alias: a moved-from
-  // ensemble shares the id but has zero partitions.)
-  const bool memo_hit = shard->tuned_valid &&
-                        shard->last_index_id == instance_id_ &&
-                        shard->tuned.size() == n &&
-                        shard->last_q == qd &&
-                        shard->last_t_star == spec.t_star;
-  shard->tuned.resize(n);
-  shard->probed.assign(n, 0);
-  // Invalidate before mutating tuned[]: an error return mid-loop must not
-  // leave the old (q, t*) key paired with partially overwritten params.
-  shard->tuned_valid = false;
-
-  const bool use_filters = !filters_.empty();
-  const int num_trees = options_.num_hashes / options_.tree_depth;
-  size_t filter_skipped = 0;
-  // The scratch counters are cumulative; per-query stats report the delta
-  // across this query's probes.
-  const uint64_t hits0 = shard->probe.slot0_cache_hits();
-  const uint64_t gallops0 = shard->probe.slot0_gallop_resumes();
-  if (use_filters) {
-    shard->filter_hashes.resize(static_cast<size_t>(num_trees));
-    StageFilterHashes(*spec.query, num_trees, options_.tree_depth,
-                      shard->filter_hashes.data());
-    // Whole-engine fast reject, only when no stats are requested (the
-    // serving path): without a per-partition sweep the probed/pruned
-    // accounting would differ from the stats-visible paths.
-    if (stats == nullptr && !engine_filter_.empty() &&
-        !FilterAdmits(engine_filter_, shard->filter_hashes.data(),
-                      num_trees)) {
-      return Status::OK();
-    }
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    if (spec.deadline_ns != 0) {
-      LSHE_RETURN_IF_ERROR(CheckDeadline(spec.deadline_ns));
-    }
-    const auto max_size = static_cast<double>(specs_[i].upper - 1);
-    // A domain of size x has containment at most x/q; if even the largest
-    // domain in the partition cannot reach t*, skip it (no false negatives).
-    if (options_.prune_unreachable_partitions &&
-        max_size + 1e-9 < spec.t_star * qd) {
-      continue;
-    }
-    if (!memo_hit) {
-      shard->tuned[i] = tuner_->Tune(max_size, qd, spec.t_star);
-    }
-    shard->probed[i] = 1;
-    // Probe fast-path: when the partition's filter proves no tree of the
-    // probe can match slot 0, the probe result is empty — skip the arena
-    // walk. Still counted as probed (see QueryStats).
-    if (use_filters && !FilterAdmits(filters_[i],
-                                     shard->filter_hashes.data(),
-                                     shard->tuned[i].b)) {
-      ++filter_skipped;
-      continue;
-    }
-    LSHE_RETURN_IF_ERROR(forests_[i].Probe(*spec.query, shard->tuned[i].b,
-                                           shard->tuned[i].r, &shard->probe,
-                                           out));
-  }
-  shard->last_index_id = instance_id_;
-  shard->last_q = qd;
-  shard->last_t_star = spec.t_star;
-  shard->tuned_valid = true;
-
-  AssertUniqueCandidates(*out);
-  FillStats(stats, q, shard->probed, shard->tuned, filter_skipped,
-            shard->probe.slot0_cache_hits() - hits0,
-            shard->probe.slot0_gallop_resumes() - gallops0);
-  return Status::OK();
-}
-
 Status LshEnsemble::QueryChunk(std::span<const QuerySpec> specs,
                                QueryContext::Shard* shard,
                                std::vector<uint64_t>* outs,
                                QueryStats* stats) const {
   const size_t m = specs.size();
   const size_t n = specs_.size();
+  // The counters are always kept; without a caller array they land in
+  // scratch, so asking for stats never changes what the kernel does.
+  if (stats == nullptr) {
+    shard->stats.resize(m);
+    stats = shard->stats.data();
+  }
 
   bool any_deadline = false;
   shard->chunk_q.resize(m);
@@ -499,208 +385,101 @@ Status LshEnsemble::QueryChunk(std::span<const QuerySpec> specs,
     if (specs[i].deadline_ns != 0) any_deadline = true;
     shard->chunk_q[i] = static_cast<double>(q);
     outs[i].clear();
-    if (stats != nullptr) {
-      stats[i].query_size_used = q;
-      stats[i].partitions_probed = 0;
-      stats[i].partitions_pruned = 0;
-      stats[i].partitions_filter_skipped = 0;
-      stats[i].slot0_cache_hits = 0;
-      stats[i].slot0_gallop_resumes = 0;
-      stats[i].tuned.clear();
-    }
+    stats[i] = QueryStats{};
+    stats[i].query_size_used = q;
   }
 
+  // A domain of size x has containment at most x/q; if even the largest
+  // domain of partition p cannot reach query i's t*, the partition is
+  // skipped (no false negatives).
+  auto unreachable = [&](size_t p, size_t i) {
+    return options_.prune_unreachable_partitions &&
+           static_cast<double>(specs_[p].upper - 1) + 1e-9 <
+               specs[i].t_star * shard->chunk_q[i];
+  };
+
   const bool use_filters = !filters_.empty();
-  const int num_trees = options_.num_hashes / options_.tree_depth;
+  const auto num_trees =
+      static_cast<size_t>(options_.num_hashes / options_.tree_depth);
+  shard->filter_admit.assign(m, 1);
   if (use_filters) {
     // Stage every query's tree keys once; they are reused by the engine
     // admit check here and by each partition's filter below.
-    shard->filter_hashes.resize(m * static_cast<size_t>(num_trees));
-    shard->filter_admit.assign(m, 1);
+    shard->filter_hashes.resize(m * num_trees);
     for (size_t i = 0; i < m; ++i) {
-      uint64_t* row =
-          shard->filter_hashes.data() + i * static_cast<size_t>(num_trees);
-      StageFilterHashes(*specs[i].query, num_trees, options_.tree_depth, row);
-      // Whole-engine fast reject per query, only when no stats are
-      // requested (the serving path): the probed/pruned accounting of the
-      // stats-visible paths sweeps every partition.
-      if (stats == nullptr && !engine_filter_.empty() &&
-          !FilterAdmits(engine_filter_, row, num_trees)) {
-        shard->filter_admit[i] = 0;
+      uint64_t* row = shard->filter_hashes.data() + i * num_trees;
+      StageFilterHashes(*specs[i].query, static_cast<int>(num_trees),
+                        options_.tree_depth, row);
+      if (engine_filter_.empty() ||
+          FilterAdmits(engine_filter_, row, static_cast<int>(num_trees))) {
+        continue;
+      }
+      // Whole-engine fast reject: no partition holds any of the query's
+      // slot-0 keys, so every probe would come back empty. Accounted as if
+      // each reachable partition's own filter had said no.
+      shard->filter_admit[i] = 0;
+      for (size_t p = 0; p < n; ++p) {
+        if (unreachable(p, i)) {
+          ++stats[i].partitions_pruned;
+        } else {
+          ++stats[i].partitions_probed;
+          ++stats[i].partitions_filter_skipped;
+        }
       }
     }
   }
 
   // Partition-major: each partition's trees are walked by every query of
   // the chunk before moving on, so its arenas are read while still warm.
-  // Per query, partitions are still visited in ascending order, so each
-  // outs[i] matches the per-query path byte for byte.
+  // Per query, partitions are still visited in ascending order, so outs[i]
+  // does not depend on which queries share its chunk.
   for (size_t p = 0; p < n; ++p) {
     const auto max_size = static_cast<double>(specs_[p].upper - 1);
     const LshForest& forest = forests_[p];
     // One clock read per partition row covers every query of the chunk:
     // a deadline can overrun by at most one row of probes.
     const uint64_t now = any_deadline ? SteadyNowNanos() : 0;
-    // Within-pass tuning memo: runs of queries with equal (q, t*) — the
+    // Tuning memo within the row: runs of queries with equal (q, t*) — the
     // common shape of service traffic — tune once per partition.
     double memo_q = -1.0, memo_t = -1.0;
-    TunedParams memo_params;
+    TunedParams params;
     for (size_t i = 0; i < m; ++i) {
       if (specs[i].deadline_ns != 0 && now >= specs[i].deadline_ns) {
         return Status::DeadlineExceeded("query deadline expired");
       }
-      if (use_filters && !shard->filter_admit[i]) continue;
-      const double qd = shard->chunk_q[i];
-      if (options_.prune_unreachable_partitions &&
-          max_size + 1e-9 < specs[i].t_star * qd) {
-        if (stats != nullptr) ++stats[i].partitions_pruned;
+      if (!shard->filter_admit[i]) continue;
+      QueryStats& st = stats[i];
+      if (unreachable(p, i)) {
+        ++st.partitions_pruned;
         continue;
       }
+      const double qd = shard->chunk_q[i];
       if (qd != memo_q || specs[i].t_star != memo_t) {
-        memo_params = tuner_->Tune(max_size, qd, specs[i].t_star);
+        params = tuner_->Tune(max_size, qd, specs[i].t_star);
         memo_q = qd;
         memo_t = specs[i].t_star;
       }
-      if (stats != nullptr) {
-        ++stats[i].partitions_probed;
-        stats[i].tuned.push_back(memo_params);
-      }
-      // Probe fast-path (see QueryOne): a filter miss proves the probe
-      // comes back empty.
+      ++st.partitions_probed;
+      // Probe fast-path: a filter miss proves the probe comes back empty,
+      // so the arena walk is skipped. Still counted as probed.
       if (use_filters &&
           !FilterAdmits(filters_[p],
-                        shard->filter_hashes.data() +
-                            i * static_cast<size_t>(num_trees),
-                        memo_params.b)) {
-        if (stats != nullptr) ++stats[i].partitions_filter_skipped;
+                        shard->filter_hashes.data() + i * num_trees,
+                        params.b)) {
+        ++st.partitions_filter_skipped;
         continue;
       }
-      if (stats == nullptr) {
-        LSHE_RETURN_IF_ERROR(forest.Probe(*specs[i].query, memo_params.b,
-                                          memo_params.r, &shard->probe,
-                                          &outs[i]));
-      } else {
-        const uint64_t hits0 = shard->probe.slot0_cache_hits();
-        const uint64_t gallops0 = shard->probe.slot0_gallop_resumes();
-        LSHE_RETURN_IF_ERROR(forest.Probe(*specs[i].query, memo_params.b,
-                                          memo_params.r, &shard->probe,
-                                          &outs[i]));
-        stats[i].slot0_cache_hits +=
-            shard->probe.slot0_cache_hits() - hits0;
-        stats[i].slot0_gallop_resumes +=
-            shard->probe.slot0_gallop_resumes() - gallops0;
-      }
+      const uint64_t hits0 = shard->probe.slot0_cache_hits();
+      const uint64_t gallops0 = shard->probe.slot0_gallop_resumes();
+      LSHE_RETURN_IF_ERROR(forest.Probe(*specs[i].query, params.b, params.r,
+                                        &shard->probe, &outs[i]));
+      st.slot0_cache_hits += shard->probe.slot0_cache_hits() - hits0;
+      st.slot0_gallop_resumes += shard->probe.slot0_gallop_resumes() - gallops0;
     }
   }
 
   for (size_t i = 0; i < m; ++i) AssertUniqueCandidates(outs[i]);
   return Status::OK();
-}
-
-Status LshEnsemble::QueryOnePartitionParallel(const QuerySpec& spec,
-                                              QueryContext* ctx,
-                                              std::vector<uint64_t>* out,
-                                              QueryStats* stats) const {
-  size_t q = 0;
-  LSHE_RETURN_IF_ERROR(ValidateSpec(spec, &q));
-  LSHE_RETURN_IF_ERROR(CheckDeadline(spec.deadline_ns));
-  out->clear();
-  const auto qd = static_cast<double>(q);
-  const size_t n = specs_.size();
-
-  ctx->partials_.resize(n);
-  ctx->statuses_.clear();
-  ctx->statuses_.resize(n);
-  QueryContext::Shard* main_shard = ctx->AcquireShard();
-  main_shard->tuned.resize(n);
-  main_shard->probed.assign(n, 0);
-  main_shard->tuned_valid = false;  // tuned[] is written concurrently below
-
-  const bool use_filters = !filters_.empty();
-  const int num_trees = options_.num_hashes / options_.tree_depth;
-  main_shard->filter_admit.assign(n, 1);
-  if (use_filters) {
-    main_shard->filter_hashes.resize(static_cast<size_t>(num_trees));
-    StageFilterHashes(*spec.query, num_trees, options_.tree_depth,
-                      main_shard->filter_hashes.data());
-    // Whole-engine fast reject, stats-less callers only (see QueryOne).
-    if (stats == nullptr && !engine_filter_.empty() &&
-        !FilterAdmits(engine_filter_, main_shard->filter_hashes.data(),
-                      num_trees)) {
-      ctx->ReleaseShard(main_shard);
-      return Status::OK();
-    }
-  }
-
-  std::atomic<uint64_t> slot0_hits{0};
-  std::atomic<uint64_t> slot0_gallops{0};
-  auto probe = [&](size_t i) {
-    ctx->partials_[i].clear();
-    if (spec.deadline_ns != 0) {
-      ctx->statuses_[i] = CheckDeadline(spec.deadline_ns);
-      if (!ctx->statuses_[i].ok()) return;
-    }
-    const PartitionSpec& part = specs_[i];
-    const auto max_size = static_cast<double>(part.upper - 1);
-    if (options_.prune_unreachable_partitions &&
-        max_size + 1e-9 < spec.t_star * qd) {
-      return;
-    }
-    main_shard->tuned[i] = tuner_->Tune(max_size, qd, spec.t_star);
-    main_shard->probed[i] = 1;
-    // Probe fast-path (see QueryOne): a filter miss proves the probe
-    // comes back empty, so the partial stays cleared.
-    if (use_filters && !FilterAdmits(filters_[i],
-                                     main_shard->filter_hashes.data(),
-                                     main_shard->tuned[i].b)) {
-      main_shard->filter_admit[i] = 0;
-      return;
-    }
-    QueryContext::Shard* shard = ctx->AcquireShard();
-    const uint64_t hits0 = shard->probe.slot0_cache_hits();
-    const uint64_t gallops0 = shard->probe.slot0_gallop_resumes();
-    ctx->statuses_[i] =
-        forests_[i].Probe(*spec.query, main_shard->tuned[i].b,
-                          main_shard->tuned[i].r, &shard->probe,
-                          &ctx->partials_[i]);
-    if (stats != nullptr) {
-      slot0_hits.fetch_add(shard->probe.slot0_cache_hits() - hits0,
-                           std::memory_order_relaxed);
-      slot0_gallops.fetch_add(
-          shard->probe.slot0_gallop_resumes() - gallops0,
-          std::memory_order_relaxed);
-    }
-    ctx->ReleaseShard(shard);
-  };
-  ThreadPool::Shared().ParallelFor(n, probe);
-
-  Status first_error = Status::OK();
-  for (const Status& status : ctx->statuses_) {
-    if (!status.ok()) {
-      first_error = status;
-      break;
-    }
-  }
-  if (first_error.ok()) {
-    size_t total = 0;
-    for (const auto& partial : ctx->partials_) total += partial.size();
-    out->reserve(total);
-    for (const auto& partial : ctx->partials_) {
-      out->insert(out->end(), partial.begin(), partial.end());
-    }
-    AssertUniqueCandidates(*out);
-    size_t filter_skipped = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (main_shard->probed[i] && !main_shard->filter_admit[i]) {
-        ++filter_skipped;
-      }
-    }
-    FillStats(stats, q, main_shard->probed, main_shard->tuned,
-              filter_skipped, slot0_hits.load(std::memory_order_relaxed),
-              slot0_gallops.load(std::memory_order_relaxed));
-  }
-  ctx->ReleaseShard(main_shard);
-  return first_error;
 }
 
 Status LshEnsemble::Query(const MinHash& query, size_t query_size,
@@ -725,25 +504,11 @@ Status LshEnsemble::BatchQuery(std::span<const QuerySpec> specs,
     return Status::InvalidArgument("outs must not be null");
   }
 
-  // A batch of one cannot be spread across queries; preserve single-query
-  // latency by spreading its partitions instead (the seed engine's shape).
-  if (specs.size() == 1) {
-    if (options_.parallel_query && specs_.size() > 1) {
-      return QueryOnePartitionParallel(specs[0], ctx, &outs[0],
-                                       stats != nullptr ? &stats[0] : nullptr);
-    }
-    QueryContext::Shard* shard = ctx->AcquireShard();
-    const Status status =
-        QueryOne(specs[0], shard, &outs[0],
-                 stats != nullptr ? &stats[0] : nullptr);
-    ctx->ReleaseShard(shard);
-    return status;
-  }
-
   const size_t count = specs.size();
   // Across-query parallelism: contiguous chunks keep one shard (and the
   // partition arenas QueryChunk revisits) hot per worker while the 4x
-  // over-decomposition lets the pool balance uneven query costs.
+  // over-decomposition lets the pool balance uneven query costs. A single
+  // query is a chunk of one.
   const size_t participants = ThreadPool::Shared().num_threads() + 1;
   const size_t chunks =
       options_.parallel_query ? std::min(count, participants * 4) : 1;

@@ -9,12 +9,11 @@
 // optimal (b, r) (Eq. 26), all partitions are probed, and the candidate
 // unions are returned.
 //
-// The query engine is batched: BatchQuery() answers many queries per call,
-// parallelizing *across queries* on the shared ThreadPool and reusing all
-// per-query scratch through a caller-owned QueryContext, so the steady
-// state performs no allocation. Single-query Query() is a thin wrapper
-// over the same engine (a batch of one falls back to parallelizing across
-// partitions, preserving single-query latency on multicore machines).
+// The query engine is batched: BatchQuery() answers many queries per call
+// through one partition-major kernel, parallelizing *across queries* on the
+// shared ThreadPool and reusing all per-query scratch through a
+// caller-owned QueryContext, so the steady state performs no allocation.
+// Single-query Query() is a batch of one through the same kernel.
 //
 // Typical use:
 //
@@ -41,6 +40,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/cost_model.h"
@@ -100,26 +100,29 @@ struct LshEnsembleOptions {
   /// Build partition forests on the shared thread pool.
   bool parallel_build = true;
   /// Parallelize queries on the shared thread pool: BatchQuery() spreads
-  /// queries over workers; a single-query call spreads its partitions.
+  /// chunks of queries over workers.
   bool parallel_query = true;
 
   Status Validate() const;
 };
 
 /// \brief Per-query diagnostics (optional output of Query()/BatchQuery()).
+/// Plain counters, observation-only: the engine keeps them on every call,
+/// and passing an array to receive them never changes which partitions are
+/// probed or what is returned.
 struct QueryStats {
   /// The query cardinality actually used (exact or MinHash-estimated).
   size_t query_size_used = 0;
+  /// Every partition is counted exactly once, as probed or pruned.
   size_t partitions_probed = 0;
   size_t partitions_pruned = 0;
-  /// Probed partitions whose forest probe was answered "empty" by the
-  /// probe filter without touching the key arenas. Filter-skipped
-  /// partitions still count as probed (with tuned params recorded): the
+  /// Probed partitions whose forest probe was answered "empty" by a probe
+  /// filter without touching the key arenas — the partition's own filter,
+  /// or the engine-wide one (which skips every reachable partition of the
+  /// query, untuned). Filter-skipped partitions still count as probed: the
   /// filter is a probe fast-path, not a pruning rule, so the accounting
-  /// invariants above hold with or without filters.
+  /// above holds with or without filters.
   size_t partitions_filter_skipped = 0;
-  /// Tuned (b, r) per probed partition, in partition order.
-  std::vector<TunedParams> tuned;
   /// Slot-0 search accounting over this query's forest probes (see
   /// LshForest::ProbeScratch): trees whose slot-0 equal range was
   /// answered without a descent (run-index or memo hit), and descents
@@ -134,6 +137,7 @@ struct QueryStats {
   size_t shards_gathered = 0;
   size_t shards_skipped = 0;
 };
+static_assert(std::is_trivially_copyable_v<QueryStats>);
 
 /// \brief One query of a BatchQuery() call. The referenced MinHash is
 /// borrowed, not owned; it must outlive the call.
@@ -154,9 +158,9 @@ struct QuerySpec {
 
 class LshEnsemble;
 
-/// \brief Reusable query-path scratch: candidate dedup marks, tuned-params
-/// vectors, probe flags and per-partition buffers, pooled in per-worker
-/// shards so one context serves a whole BatchQuery() fan-out.
+/// \brief Reusable query-path scratch: probe memos, staged filter keys and
+/// per-chunk buffers, pooled in per-worker shards so one context serves a
+/// whole BatchQuery() fan-out.
 ///
 /// A context is bound to no particular ensemble — buffers grow to the
 /// largest index seen and are reused verbatim afterwards, so steady-state
@@ -182,8 +186,6 @@ class QueryContext {
   /// One worker's worth of scratch.
   struct Shard {
     LshForest::ProbeScratch probe;
-    std::vector<TunedParams> tuned;
-    std::vector<uint8_t> probed;
     /// Effective per-query cardinalities of the current chunk.
     std::vector<double> chunk_q;
     /// Pre-mixed probe-filter keys of the current chunk (one row of
@@ -192,15 +194,8 @@ class QueryContext {
     /// per chunk and reused across every partition.
     std::vector<uint64_t> filter_hashes;
     std::vector<uint8_t> filter_admit;
-    // Memo of the last tuning pass: consecutive queries against the same
-    // ensemble with the same effective (q, t*) reuse `tuned` wholesale,
-    // skipping the tuner's shared cache entirely. Keyed on the ensemble's
-    // process-unique instance id (a context outlives any one ensemble, and
-    // addresses can be reused).
-    uint64_t last_index_id = 0;
-    double last_q = -1.0;
-    double last_t_star = -1.0;
-    bool tuned_valid = false;
+    /// Counter sink for calls that pass no stats array.
+    std::vector<QueryStats> stats;
   };
 
   Shard* AcquireShard();
@@ -210,17 +205,14 @@ class QueryContext {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<Shard*> free_;
 
-  // Single-query partition-parallel path: per-partition candidate buffers
-  // (their capacity is retained across calls).
-  std::vector<std::vector<uint64_t>> partials_;
-  // Per-query (or per-partition) statuses of the current batch.
+  // Per-chunk statuses of the current batch.
   std::vector<Status> statuses_;
   // DynamicLshEnsemble::BatchQuery scratch: the batch's effective query
   // cardinalities (resolved once per batch, reused across every delta
   // record), the specs re-staged with those resolved cardinalities (so
   // the inner engine skips re-estimating them), and per-query staging
   // buffers for the indexed candidates when tombstone filtering is
-  // active. Separate from partials_, which the inner call may use.
+  // active.
   std::vector<double> dynamic_q_;
   std::vector<QuerySpec> dynamic_specs_;
   std::vector<std::vector<uint64_t>> dynamic_outs_;
@@ -317,10 +309,10 @@ class LshEnsemble {
   ///
   /// `outs` (and `stats` if given) must point to arrays of at least
   /// specs.size() elements. With options().parallel_query the batch is
-  /// spread across the shared ThreadPool in chunks; a batch of one falls
-  /// back to parallelizing across partitions. All scratch comes from `ctx`,
-  /// so a warm context makes the whole call allocation-free apart from
-  /// output growth.
+  /// spread across the shared ThreadPool in chunks; a batch of one is one
+  /// chunk. Passing `stats` only observes: outputs are identical without
+  /// it. All scratch comes from `ctx`, so a warm context makes the whole
+  /// call allocation-free apart from output growth.
   ///
   /// On error the first failing query's status is returned and the
   /// contents of `outs`/`stats` are unspecified.
@@ -372,24 +364,15 @@ class LshEnsemble {
   /// cardinality through `q`.
   Status ValidateSpec(const QuerySpec& spec, size_t* q) const;
 
-  /// Answers one query sequentially over all partitions using `shard`'s
-  /// scratch, appending candidates to `out` (cleared first).
-  Status QueryOne(const QuerySpec& spec, QueryContext::Shard* shard,
-                  std::vector<uint64_t>* out, QueryStats* stats) const;
-
-  /// Answers a contiguous run of queries partition-major (outer loop over
-  /// partitions, inner over queries) so each partition's key arenas stay
-  /// cache-hot across the whole run. Output identical to per-query
-  /// QueryOne() calls.
+  /// The query kernel (Algorithm 1 over a contiguous run of queries):
+  /// validate, engine-filter reject, then partition-major (outer loop over
+  /// partitions, inner over queries) prune, tune, filter and probe, so each
+  /// partition's key arenas stay cache-hot across the whole run. Each
+  /// query's output is independent of the run it shares. `stats` may be
+  /// null; the counters are kept either way.
   Status QueryChunk(std::span<const QuerySpec> specs,
                     QueryContext::Shard* shard, std::vector<uint64_t>* outs,
                     QueryStats* stats) const;
-
-  /// The seed engine's shape: one query, partitions probed in parallel
-  /// into per-partition buffers, then concatenated.
-  Status QueryOnePartitionParallel(const QuerySpec& spec, QueryContext* ctx,
-                                   std::vector<uint64_t>* out,
-                                   QueryStats* stats) const;
 
   LshEnsembleOptions options_;
   std::shared_ptr<const HashFamily> family_;
@@ -402,10 +385,6 @@ class LshEnsemble {
   ProbeFilter engine_filter_;
   std::unique_ptr<Tuner> tuner_;
   size_t total_ = 0;
-  /// Process-unique identity (copied by moves; a moved-from ensemble is
-  /// left with no partitions, so its aliased id is inert). Keys the
-  /// QueryContext tuning memo across ensemble lifetimes.
-  uint64_t instance_id_;
 };
 
 }  // namespace lshensemble

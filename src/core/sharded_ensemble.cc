@@ -442,31 +442,25 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
   // Scatter: ONE wave over the shards. Each shard task takes its shard's
   // read lock, borrows pinned scratch, and walks the whole batch
   // sequentially (the shard engines have pool parallelism off, so the
-  // wave never nests a dispatch). Queries inside the shard are chunked by
-  // the engine's partition-major QueryChunk walk. The scatter still
-  // VISITS every shard, but it rarely COSTS every shard: this call passes
-  // no stats, and with stats == nullptr each shard engine consults its
+  // wave never nests a dispatch). Queries inside the shard run through the
+  // engine's partition-major query kernel. The scatter still VISITS every
+  // shard, but it rarely COSTS every shard: each shard engine consults its
   // union probe filter (filter/probe_filter.h) first and rejects a query
   // none of its partitions can answer in O(trees) filter probes — so on a
   // skewed corpus each query does forest work only in the shards that may
   // hold its keys, and pruning needs no cross-shard routing state here.
   std::vector<Shard::Scratch*> scratch(num_shards, nullptr);
   std::vector<Status> statuses(num_shards);
-  std::vector<std::vector<QueryStats>> shard_stats(
-      stats != nullptr ? num_shards : 0);
   ThreadPool::Shared().ParallelFor(num_shards, [&](size_t s) {
     const Shard& shard = *shards_[s];
     std::shared_lock lock(shard.mutex);
     Shard::Scratch* mine = shard.AcquireScratch();
     scratch[s] = mine;
     if (mine->outs.size() < count) mine->outs.resize(count);
-    QueryStats* mine_stats = nullptr;
-    if (stats != nullptr) {
-      shard_stats[s].resize(count);
-      mine_stats = shard_stats[s].data();
-    }
+    mine->stats.resize(count);
     statuses[s] = shard.engine.BatchQuery(resolved, &mine->ctx,
-                                          mine->outs.data(), mine_stats);
+                                          mine->outs.data(),
+                                          mine->stats.data());
   });
 
   // Classify the shard outcomes. A deadline expiry inside a shard is
@@ -510,21 +504,19 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
       }
       if (sort_outputs) std::sort(out.begin(), out.end());
       if (stats != nullptr) {
-        // Shard-summed probe counters plus the gather split. The tuned
-        // memo is per-shard state; a cross-shard merge has no meaning, so
-        // it is left empty here.
+        // Shard-summed probe counters plus the gather split.
         QueryStats& merged = stats[i];
         merged = QueryStats{};
         for (size_t s = 0; s < num_shards; ++s) {
           if (!shard_gathered[s]) continue;
-          merged.query_size_used = shard_stats[s][i].query_size_used;
-          merged.partitions_probed += shard_stats[s][i].partitions_probed;
-          merged.partitions_pruned += shard_stats[s][i].partitions_pruned;
+          const QueryStats& part_stats = scratch[s]->stats[i];
+          merged.query_size_used = part_stats.query_size_used;
+          merged.partitions_probed += part_stats.partitions_probed;
+          merged.partitions_pruned += part_stats.partitions_pruned;
           merged.partitions_filter_skipped +=
-              shard_stats[s][i].partitions_filter_skipped;
-          merged.slot0_cache_hits += shard_stats[s][i].slot0_cache_hits;
-          merged.slot0_gallop_resumes +=
-              shard_stats[s][i].slot0_gallop_resumes;
+              part_stats.partitions_filter_skipped;
+          merged.slot0_cache_hits += part_stats.slot0_cache_hits;
+          merged.slot0_gallop_resumes += part_stats.slot0_gallop_resumes;
         }
         merged.shards_gathered = gathered_count;
         merged.shards_skipped = num_shards - gathered_count;

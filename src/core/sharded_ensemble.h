@@ -37,7 +37,7 @@
 //    identical to the unsharded TopKSearcher.
 //
 // Per-shard scratch (QueryContext + gather staging) is pooled per shard,
-// never shared across shards: a context's tuning memo and flattened-delta
+// never shared across shards: a context's probe memos and flattened-delta
 // cache are keyed on one index's identity, so pinning scratch to its shard
 // keeps those caches hot across calls and descent rounds.
 //
@@ -186,8 +186,8 @@ class ShardedEnsemble {
   /// \brief BatchQuery with per-query statistics: `stats[i]` receives the
   /// shard-summed probe counters for query i plus the gather split
   /// (shards_gathered / shards_skipped — the latter nonzero only in
-  /// partial-results mode). Collecting stats disables the shards' probe
-  /// filter fast path, like the unsharded engine.
+  /// partial-results mode). Stats only observe: outputs are identical to
+  /// the overload without them.
   Status BatchQuery(std::span<const QuerySpec> specs,
                     std::vector<uint64_t>* outs, QueryStats* stats) const;
 
@@ -320,10 +320,11 @@ class ShardedEnsemble {
     /// Guards `engine` (shared for queries, exclusive for mutation).
     mutable std::shared_mutex mutex;
     /// Pooled per-call scratch, pinned to this shard so each context's
-    /// tuning memo / delta cache stays keyed to this shard's engine.
+    /// probe memos and delta cache stay keyed to this shard's engine.
     struct Scratch {
       QueryContext ctx;
       std::vector<std::vector<uint64_t>> outs;  // gather staging
+      std::vector<QueryStats> stats;            // per-query shard counters
     };
     mutable std::mutex scratch_mutex;
     mutable std::vector<std::unique_ptr<Scratch>> scratch_pool;

@@ -105,11 +105,10 @@ std::string ServerMetrics::RenderPrometheus() const {
                 get(batched_requests));
   AppendCounter(&out, "lshe_serve_slot0_cache_hits_total",
                 "Probed trees whose slot-0 range needed no descent "
-                "(run-index or memo hit; advances when stats are collected)",
+                "(run-index or memo hit)",
                 get(slot0_cache_hits));
   AppendCounter(&out, "lshe_serve_slot0_gallop_resumes_total",
-                "Probe descents galloped from the per-tree range memo "
-                "(advances when stats are collected)",
+                "Probe descents galloped from the per-tree range memo",
                 get(slot0_gallop_resumes));
   batch_fill.Render("lshe_serve_batch_fill",
                     "Requests coalesced per dispatch wave", &out);

@@ -90,8 +90,7 @@ struct ServerMetrics {
   Pow2Histogram coalesce_latency_us;
   /// Engine latency: dispatch -> results per wave, in microseconds.
   Pow2Histogram dispatch_latency_us;
-  // ---- probe internals (summed from QueryStats; only advance when the
-  // dispatch collects stats, i.e. in partial-results mode) ----
+  // ---- probe internals (summed from every wave's QueryStats) ----
   /// Probed trees whose slot-0 equal range was answered without a
   /// descent (forest run-index or scratch memo hit).
   std::atomic<uint64_t> slot0_cache_hits{0};

@@ -778,16 +778,10 @@ struct Server::Impl {
       specs[i].deadline_ns = wave[i].deadline_ns;
     }
     std::vector<std::vector<uint64_t>> outs(wave.size());
-    std::vector<QueryStats> stats;
-    Status s;
-    if (options.partial_results) {
-      stats.resize(wave.size());
-      s = engine->BatchQuery(specs, outs.data(), stats.data());
-    } else {
-      s = engine->BatchQuery(specs, outs.data());
-    }
+    std::vector<QueryStats> stats(wave.size());
+    const Status s = engine->BatchQuery(specs, outs.data(), stats.data());
     metrics.dispatch_latency_us.Record((SteadyNowNanos() - start) / 1000);
-    if (s.ok() && !stats.empty()) {
+    if (s.ok()) {
       // On error the stats contents are unspecified; only sum a
       // successful wave's counters.
       uint64_t hits = 0, gallops = 0;
@@ -798,13 +792,12 @@ struct Server::Impl {
       metrics.slot0_cache_hits.fetch_add(hits, std::memory_order_relaxed);
       metrics.slot0_gallop_resumes.fetch_add(gallops,
                                              std::memory_order_relaxed);
-    }
-    if (s.ok()) {
       for (size_t i = 0; i < wave.size(); ++i) {
         QueryResponse resp;
         resp.request_id = wave[i].request_id;
         resp.ids = std::move(outs[i]);
-        if (options.partial_results && stats[i].shards_skipped > 0) {
+        // Nonzero only when the engine runs in partial-results mode.
+        if (stats[i].shards_skipped > 0) {
           resp.flags |= kResponseFlagPartial;
           metrics.partial_responses.fetch_add(1, std::memory_order_relaxed);
         }

@@ -79,10 +79,6 @@ struct ServerOptions {
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Deadline applied to requests that carry deadline_us = 0. 0 = none.
   uint64_t default_deadline_us = 0;
-  /// Mirror of ShardedEnsembleOptions::partial_results: when true the
-  /// server collects per-query gather stats and flags responses whose
-  /// deadline cut off shards with kResponseFlagPartial.
-  bool partial_results = false;
 
   /// OK iff every knob is in its valid range.
   Status Validate() const;

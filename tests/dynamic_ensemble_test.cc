@@ -511,6 +511,67 @@ TEST_F(DynamicBatchQueryTest, BatchStatsRideTheEngine) {
   EXPECT_GT(stats.partitions_probed + stats.partitions_pruned, 0u);
 }
 
+// A reused stats array must come back fully overwritten, whichever path
+// answered: the delta-only branch of a never-flushed engine and the
+// indexed engine's kernel alike. Each call gets a fresh context, so the
+// reused array must read exactly like a zeroed one.
+TEST_F(DynamicBatchQueryTest, ReusedStatsArraysAreReset) {
+  QueryStats stale;
+  stale.query_size_used = 7;
+  stale.partitions_probed = 7;
+  stale.partitions_pruned = 7;
+  stale.partitions_filter_skipped = 7;
+  stale.slot0_cache_hits = 7;
+  stale.slot0_gallop_resumes = 7;
+  stale.shards_gathered = 7;
+  stale.shards_skipped = 7;
+
+  const MinHash query = Sketch(3);
+  const QuerySpec spec{&query, corpus_->domain(3).size(), 0.5};
+  const std::span<const QuerySpec> specs(&spec, 1);
+  auto expect_reset = [&](auto query_fn) {
+    QueryStats zeroed;
+    QueryStats reused = stale;
+    std::vector<uint64_t> out;
+    QueryContext fresh_a, fresh_b;
+    ASSERT_TRUE(query_fn(&fresh_a, &out, &zeroed).ok());
+    ASSERT_TRUE(query_fn(&fresh_b, &out, &reused).ok());
+    EXPECT_EQ(reused.query_size_used, spec.query_size);
+    EXPECT_EQ(reused.query_size_used, zeroed.query_size_used);
+    EXPECT_EQ(reused.partitions_probed, zeroed.partitions_probed);
+    EXPECT_EQ(reused.partitions_pruned, zeroed.partitions_pruned);
+    EXPECT_EQ(reused.partitions_filter_skipped,
+              zeroed.partitions_filter_skipped);
+    EXPECT_EQ(reused.slot0_cache_hits, zeroed.slot0_cache_hits);
+    EXPECT_EQ(reused.slot0_gallop_resumes, zeroed.slot0_gallop_resumes);
+    EXPECT_EQ(reused.shards_gathered, 0u);
+    EXPECT_EQ(reused.shards_skipped, 0u);
+  };
+
+  DynamicEnsembleOptions options = SmallOptions();
+  options.min_delta_for_rebuild = 100000;
+  auto index = DynamicLshEnsemble::Create(options, family_).value();
+  for (size_t i = 0; i < 40; ++i) ASSERT_TRUE(InsertDomain(index, i).ok());
+  ASSERT_EQ(index.indexed(), nullptr);
+  {
+    SCOPED_TRACE("pure-delta dynamic engine");
+    expect_reset([&](QueryContext* ctx, std::vector<uint64_t>* out,
+                     QueryStats* stats) {
+      return index.BatchQuery(specs, ctx, out, stats);
+    });
+  }
+
+  ASSERT_TRUE(index.Flush().ok());
+  ASSERT_NE(index.indexed(), nullptr);
+  {
+    SCOPED_TRACE("LshEnsemble");
+    expect_reset([&](QueryContext* ctx, std::vector<uint64_t>* out,
+                     QueryStats* stats) {
+      return index.indexed()->BatchQuery(specs, ctx, out, stats);
+    });
+  }
+}
+
 TEST_F(DynamicBatchQueryTest, BatchValidationAndEmptyBatch) {
   BuildMixedIndex();
   QueryContext ctx;

@@ -299,13 +299,7 @@ TEST(LshEnsembleTest, StatsReportProbedAndPruned) {
   EXPECT_GT(stats.partitions_pruned, 0u);
   EXPECT_EQ(stats.partitions_probed + stats.partitions_pruned,
             ensemble->partitions().size());
-  EXPECT_EQ(stats.tuned.size(), stats.partitions_probed);
-  for (const TunedParams& params : stats.tuned) {
-    EXPECT_GE(params.b, 1);
-    EXPECT_LE(params.b, 32);
-    EXPECT_GE(params.r, 1);
-    EXPECT_LE(params.r, 8);
-  }
+  EXPECT_LE(stats.partitions_filter_skipped, stats.partitions_probed);
 }
 
 TEST(LshEnsembleTest, SlotZeroCountersReachQueryStats) {
@@ -315,8 +309,8 @@ TEST(LshEnsembleTest, SlotZeroCountersReachQueryStats) {
   ASSERT_TRUE(ensemble.ok());
 
   // A self-query finds its own slot-0 runs in every tree of its home
-  // partition, so the per-query counters must be visible through stats on
-  // both the single-query path...
+  // partition, so the per-query counters must be visible through stats for
+  // a single query...
   const Domain& domain = corpus.domain(50);
   auto sketch = MinHash::FromValues(family, domain.values);
   QueryStats stats;
@@ -325,7 +319,7 @@ TEST(LshEnsembleTest, SlotZeroCountersReachQueryStats) {
       ensemble->Query(sketch, domain.size(), 0.5, &out, &stats).ok());
   EXPECT_GT(stats.slot0_cache_hits + stats.slot0_gallop_resumes, 0u);
 
-  // ...and the batched (partition-major chunk) path.
+  // ...and for each query of a batch.
   const std::vector<QuerySpec> specs(3,
                                      QuerySpec{&sketch, domain.size(), 0.5});
   QueryContext ctx;
@@ -381,13 +375,15 @@ TEST(LshEnsembleTest, TuneForPartitionMatchesQueryStats) {
   QueryStats stats;
   std::vector<uint64_t> out;
   ASSERT_TRUE(ensemble->Query(sketch, domain.size(), 0.6, &out, &stats).ok());
-  ASSERT_EQ(stats.tuned.size(), ensemble->partitions().size());
+  ASSERT_EQ(stats.partitions_probed, ensemble->partitions().size());
   for (size_t i = 0; i < ensemble->partitions().size(); ++i) {
-    auto expected = ensemble->TuneForPartition(
+    auto tuned = ensemble->TuneForPartition(
         i, static_cast<double>(domain.size()), 0.6);
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(stats.tuned[i].b, expected->b);
-    EXPECT_EQ(stats.tuned[i].r, expected->r);
+    ASSERT_TRUE(tuned.ok());
+    EXPECT_GE(tuned->b, 1);
+    EXPECT_LE(tuned->b, options.num_hashes / options.tree_depth);
+    EXPECT_GE(tuned->r, 1);
+    EXPECT_LE(tuned->r, options.tree_depth);
   }
   EXPECT_FALSE(ensemble->TuneForPartition(99, 10, 0.5).ok());
   EXPECT_FALSE(ensemble->TuneForPartition(0, 0, 0.5).ok());
@@ -494,7 +490,7 @@ TEST(LshEnsembleTest, StatsAccountingHoldsAcrossPruningSweep) {
           ensemble->Query(sketch, domain.size(), t_star, &out, &stats).ok());
       EXPECT_EQ(stats.partitions_probed + stats.partitions_pruned,
                 ensemble->partitions().size());
-      EXPECT_EQ(stats.tuned.size(), stats.partitions_probed);
+      EXPECT_LE(stats.partitions_filter_skipped, stats.partitions_probed);
       EXPECT_EQ(stats.query_size_used, domain.size());
     }
   }
@@ -569,11 +565,8 @@ TEST(LshEnsembleTest, BatchQueryMatchesSingleQueries) {
               single_stats.partitions_probed);
     EXPECT_EQ(batch_stats[i].partitions_pruned,
               single_stats.partitions_pruned);
-    ASSERT_EQ(batch_stats[i].tuned.size(), single_stats.tuned.size());
-    for (size_t p = 0; p < single_stats.tuned.size(); ++p) {
-      EXPECT_EQ(batch_stats[i].tuned[p].b, single_stats.tuned[p].b);
-      EXPECT_EQ(batch_stats[i].tuned[p].r, single_stats.tuned[p].r);
-    }
+    EXPECT_EQ(batch_stats[i].partitions_filter_skipped,
+              single_stats.partitions_filter_skipped);
   }
 
   // A reused context must not leak state between batches: re-running the
@@ -585,10 +578,9 @@ TEST(LshEnsembleTest, BatchQueryMatchesSingleQueries) {
 }
 
 // A QueryContext is documented as bound to no particular ensemble: its
-// internal memos (tuning, probe ranges) must not leak answers from one
-// index into another — even for indexes with the same partition count
-// queried with identical (q, t*), and even when a dead index's heap
-// address is reused.
+// internal probe-range memos must not leak answers from one index into
+// another — even for indexes with the same partition count queried with
+// identical (q, t*), and even when a dead index's heap address is reused.
 TEST(LshEnsembleTest, QueryContextReusableAcrossEnsembles) {
   auto family = Family();
   const Corpus small_corpus = SmallCorpus(600, 25);
@@ -615,10 +607,9 @@ TEST(LshEnsembleTest, QueryContextReusableAcrossEnsembles) {
 
   QueryContext shared_ctx;
   std::vector<uint64_t> out;
-  // Warm the memo on the small index with the exact same (q, t*)...
+  // Warm the memos on the small index with the exact same (q, t*)...
   ASSERT_TRUE(small_index->BatchQuery(specs, &shared_ctx, &out).ok());
-  // ...then the big index must re-tune, not replay the small index's
-  // (b, r): compare against a fresh context.
+  // ...then the big index must answer as if the context were fresh.
   std::vector<uint64_t> shared_out;
   QueryStats shared_stats;
   ASSERT_TRUE(
@@ -630,14 +621,11 @@ TEST(LshEnsembleTest, QueryContextReusableAcrossEnsembles) {
   ASSERT_TRUE(
       big_index->BatchQuery(specs, &fresh_ctx, &fresh_out, &fresh_stats).ok());
   EXPECT_EQ(shared_out, fresh_out);
-  ASSERT_EQ(shared_stats.tuned.size(), fresh_stats.tuned.size());
-  for (size_t p = 0; p < fresh_stats.tuned.size(); ++p) {
-    EXPECT_EQ(shared_stats.tuned[p].b, fresh_stats.tuned[p].b) << "p=" << p;
-    EXPECT_EQ(shared_stats.tuned[p].r, fresh_stats.tuned[p].r) << "p=" << p;
-  }
+  EXPECT_EQ(shared_stats.partitions_probed, fresh_stats.partitions_probed);
+  EXPECT_EQ(shared_stats.partitions_pruned, fresh_stats.partitions_pruned);
 
-  // Destroy-and-rebuild while the context lives: stale probe-range or
-  // tuning memos must not survive into the replacement index.
+  // Destroy-and-rebuild while the context lives: stale probe-range memos
+  // must not survive into the replacement index.
   auto replacement = BuildEnsemble(big_corpus, options, family);
   ASSERT_TRUE(replacement.ok());
   small_index = std::move(replacement);  // old small index destroyed

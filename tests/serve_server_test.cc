@@ -348,37 +348,59 @@ TEST_F(ServeServerTest, ReloadWithoutHookIsNotSupported) {
   EXPECT_TRUE(reload.status().IsNotSupported()) << reload.status().ToString();
 }
 
+// Raw HTTP/1.0 one-shot scrape of /metrics on the data port; empty on a
+// connection failure.
+std::string ScrapeMetrics(const Server& server) {
+  std::string response;
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return response;
+  struct sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  const char request[] = "GET /metrics HTTP/1.0\r\n\r\n";
+  if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) == 1 &&
+      ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                sizeof(addr)) == 0 &&
+      ::write(fd, request, sizeof(request) - 1) ==
+          static_cast<ssize_t>(sizeof(request) - 1)) {
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::read(fd, buf, sizeof(buf))) > 0) response.append(buf, n);
+  }
+  ::close(fd);
+  return response;
+}
+
 TEST_F(ServeServerTest, MetricsScrapeOverHttp) {
   auto server = StartServer();
   Client client = ConnectTo(*server);
   ASSERT_TRUE(
       client.Query(sketches_[0], corpus_->domain(0).size(), 0.5).ok());
 
-  // Raw HTTP/1.0 one-shot scrape on the data port.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)),
-      0);
-  const char request[] = "GET /metrics HTTP/1.0\r\n\r\n";
-  ASSERT_EQ(::write(fd, request, sizeof(request) - 1),
-            static_cast<ssize_t>(sizeof(request) - 1));
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof(buf))) > 0) response.append(buf, n);
-  ::close(fd);
-
+  const std::string response = ScrapeMetrics(*server);
   EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(response.find("lshe_serve_query_requests_total 1"),
             std::string::npos)
       << response;
   EXPECT_NE(response.find("lshe_serve_engine_shards 2"), std::string::npos);
   EXPECT_NE(response.find("lshe_serve_batch_fill_count"), std::string::npos);
+}
+
+// Probe counters are collected on every wave, not only in partial-results
+// mode: default-mode self-queries find their slot-0 runs without descents.
+TEST_F(ServeServerTest, SlotZeroCountersAdvanceInDefaultMode) {
+  auto server = StartServer();
+  Client client = ConnectTo(*server);
+  for (size_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        client.Query(sketches_[i], corpus_->domain(i).size(), 0.5).ok());
+  }
+
+  const std::string response = ScrapeMetrics(*server);
+  const std::string name = "\nlshe_serve_slot0_cache_hits_total ";
+  const size_t at = response.find(name);
+  ASSERT_NE(at, std::string::npos) << response;
+  EXPECT_GT(std::stoull(response.substr(at + name.size())), 0u) << response;
 }
 
 TEST_F(ServeServerTest, RejectsWrongFamilySeed) {

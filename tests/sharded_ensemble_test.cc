@@ -21,6 +21,9 @@
 #include "core/topk.h"
 #include "data/corpus.h"
 #include "data/sketcher.h"
+#include "filter/probe_filter.h"
+#include "lsh/lsh_forest.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 
@@ -467,6 +470,95 @@ TEST_F(ShardedEnsembleTest, FilterPruningKeepsResultsByteIdentical) {
     ASSERT_TRUE(filtered.Flush().ok());
     ASSERT_TRUE(unfiltered.Flush().ok());
     expect_equal("re-flushed");
+  }
+}
+
+// Whether `engine`'s union probe filter rejects `query` outright (no tree's
+// slot-0 key may be present), computed from the public filter accessors.
+bool EngineFilterRejects(const LshEnsemble& engine, const MinHash& query) {
+  const ProbeFilter* filter = engine.engine_probe_filter();
+  if (filter == nullptr) return false;
+  const int depth = engine.options().tree_depth;
+  const int trees = engine.options().num_hashes / depth;
+  for (int t = 0; t < trees; ++t) {
+    const uint32_t key = LshForest::TruncateHash(
+        query.values()[static_cast<size_t>(t) * depth]);
+    if (filter->MayContain(
+            ProbeFilter::ProbeKey(static_cast<uint32_t>(t), key))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Stats only observe. For native and foreign batches at S in {1, 4},
+// BatchQuery with stats returns byte-identical outputs to BatchQuery
+// without them, every partition is accounted once, and a query every
+// shard's engine filter rejects shows as filter-skipped wherever it is
+// reachable, with no slot-0 work.
+TEST_F(ShardedEnsembleTest, StatsAreObservationOnly) {
+  // Foreign queries: random values share no slot-0 key with the corpus.
+  constexpr size_t kForeign = 32;
+  Rng rng(5309);
+  std::vector<MinHash> foreign_sketches;
+  std::vector<QuerySpec> foreign_specs;
+  foreign_sketches.reserve(kForeign);
+  for (size_t i = 0; i < kForeign; ++i) {
+    std::vector<uint64_t> values(20 + 10 * i);
+    for (uint64_t& value : values) value = rng.Next();
+    foreign_sketches.push_back(MinHash::FromValues(family_, values));
+    foreign_specs.push_back(QuerySpec{&foreign_sketches.back(), values.size(),
+                                      (i % 2 == 0) ? 0.5 : 0.8});
+  }
+  const std::vector<QuerySpec> native_specs = SampleSpecs(32);
+
+  for (const size_t num_shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+    ShardedEnsembleOptions options = ShardOptions(num_shards);
+    // A sparse-enough union filter that foreign queries are rejected
+    // outright rather than by each partition's filter.
+    options.base.base.filter_bits_per_key = 32;
+    auto index = ShardedEnsemble::Create(options, family_).value();
+    for (size_t i = 0; i < corpus_->size(); ++i) {
+      ASSERT_TRUE(InsertDomain(index, i).ok());
+    }
+    ASSERT_TRUE(index.Flush().ok());
+    size_t total_partitions = 0;
+    for (size_t s = 0; s < num_shards; ++s) {
+      ASSERT_NE(index.shard(s).indexed(), nullptr);
+      total_partitions += index.shard(s).indexed()->partitions().size();
+    }
+
+    size_t rejected = 0;
+    auto check_batch = [&](const std::vector<QuerySpec>& specs) {
+      std::vector<std::vector<uint64_t>> plain(specs.size());
+      std::vector<std::vector<uint64_t>> observed(specs.size());
+      std::vector<QueryStats> stats(specs.size());
+      ASSERT_TRUE(index.BatchQuery(specs, plain.data()).ok());
+      ASSERT_TRUE(index.BatchQuery(specs, observed.data(), stats.data()).ok());
+      for (size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(observed[i], plain[i]) << "query " << i;
+        EXPECT_EQ(stats[i].shards_gathered, num_shards);
+        EXPECT_EQ(stats[i].partitions_probed + stats[i].partitions_pruned,
+                  total_partitions);
+        bool engine_rejected = true;
+        for (size_t s = 0; s < num_shards; ++s) {
+          engine_rejected = engine_rejected &&
+                            EngineFilterRejects(*index.shard(s).indexed(),
+                                                *specs[i].query);
+        }
+        if (!engine_rejected) continue;
+        ++rejected;
+        EXPECT_TRUE(observed[i].empty());
+        EXPECT_EQ(stats[i].partitions_filter_skipped,
+                  stats[i].partitions_probed);
+        EXPECT_EQ(stats[i].slot0_cache_hits, 0u);
+        EXPECT_EQ(stats[i].slot0_gallop_resumes, 0u);
+      }
+    };
+    check_batch(native_specs);
+    check_batch(foreign_specs);
+    EXPECT_GT(rejected, kForeign / 2);
   }
 }
 

@@ -899,7 +899,6 @@ int RunServe(const Flags& flags) {
   options.batch_linger_us = flags.linger_us;
   options.max_pending = static_cast<size_t>(flags.max_pending);
   options.default_deadline_us = flags.deadline_us;
-  options.partial_results = flags.partial;
 
   serve::Server::Hooks hooks;
   hooks.reload = [manager, dir]() -> Result<uint64_t> {
