@@ -145,9 +145,9 @@ BENCHMARK(BM_ExactSearchQuery)->Arg(10000)->Arg(50000);
 // --- lower_bound_many: the probe's lockstep slot-0 descent, per kernel --
 // One row per dispatch table the CPU supports (scalar / avx2 / avx512),
 // registered at static-init from the runtime kernel list. Args are
-// (n = keys per tree, count = pending trees per call); n=52 matches the
-// throughput bench's per-forest population, 4096 is the slot-0 run-index
-// ceiling, 65536 exercises a deep gather-bound descent. Run with
+// (n = keys per tree, count = probed trees per call, at most 32); n=52
+// matches the throughput bench's per-forest population, 4096 a mid-size
+// partition, 65536 exercises a deep gather-bound descent. Run with
 // --benchmark_format=json (or --benchmark_out=...) for JSON rows.
 void BM_LowerBoundMany(benchmark::State& state, const HashKernelOps* ops) {
   constexpr uint32_t kNumTrees = 32;
@@ -165,30 +165,24 @@ void BM_LowerBoundMany(benchmark::State& state, const HashKernelOps* ops) {
     }
     std::sort(tree, tree + n);
   }
-  std::vector<uint32_t> trees(count), keys(count), lo(count), hi(count);
+  std::vector<uint32_t> keys(count), lo(count), hi(count);
   for (size_t i = 0; i < count; ++i) {
-    trees[i] = static_cast<uint32_t>(rng.NextBounded(kNumTrees));
     keys[i] = static_cast<uint32_t>(rng.NextBounded(n + 2));
   }
   // In-binary parity: a kernel must reproduce the scalar ranges bit for
   // bit before it may report a time.
-  std::vector<uint32_t> want_lo(count, 0), want_hi(count, n);
-  ScalarKernelOps().lower_bound_many(first_keys.data(), n, trees.data(),
-                                     keys.data(), count, want_lo.data(),
-                                     want_hi.data());
-  std::fill(lo.begin(), lo.end(), 0u);
-  std::fill(hi.begin(), hi.end(), n);
-  ops->lower_bound_many(first_keys.data(), n, trees.data(), keys.data(),
-                        count, lo.data(), hi.data());
+  std::vector<uint32_t> want_lo(count), want_hi(count);
+  ScalarKernelOps().lower_bound_many(first_keys.data(), n, keys.data(), count,
+                                     want_lo.data(), want_hi.data());
+  ops->lower_bound_many(first_keys.data(), n, keys.data(), count, lo.data(),
+                        hi.data());
   if (lo != want_lo || hi != want_hi) {
     state.SkipWithError("lower_bound_many diverges from the scalar kernel");
     return;
   }
   for (auto _ : state) {
-    std::fill(lo.begin(), lo.end(), 0u);
-    std::fill(hi.begin(), hi.end(), n);
-    ops->lower_bound_many(first_keys.data(), n, trees.data(), keys.data(),
-                          count, lo.data(), hi.data());
+    ops->lower_bound_many(first_keys.data(), n, keys.data(), count, lo.data(),
+                          hi.data());
     benchmark::DoNotOptimize(lo.data());
     benchmark::DoNotOptimize(hi.data());
   }

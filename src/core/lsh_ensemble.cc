@@ -469,12 +469,8 @@ Status LshEnsemble::QueryChunk(std::span<const QuerySpec> specs,
         ++st.partitions_filter_skipped;
         continue;
       }
-      const uint64_t hits0 = shard->probe.slot0_cache_hits();
-      const uint64_t gallops0 = shard->probe.slot0_gallop_resumes();
       LSHE_RETURN_IF_ERROR(forest.Probe(*specs[i].query, params.b, params.r,
                                         &shard->probe, &outs[i]));
-      st.slot0_cache_hits += shard->probe.slot0_cache_hits() - hits0;
-      st.slot0_gallop_resumes += shard->probe.slot0_gallop_resumes() - gallops0;
     }
   }
 

@@ -123,11 +123,9 @@ struct QueryStats {
   /// filter is a probe fast-path, not a pruning rule, so the accounting
   /// above holds with or without filters.
   size_t partitions_filter_skipped = 0;
-  /// Slot-0 search accounting over this query's forest probes (see
-  /// LshForest::ProbeScratch): trees whose slot-0 equal range was
-  /// answered without a descent (run-index or memo hit), and descents
-  /// whose window was galloped down from the per-tree last-range memo
-  /// instead of starting at [0, n).
+  /// Always 0: every probe descends over whole trees, so nothing skips
+  /// or narrows a slot-0 search. Kept only because the end-to-end
+  /// benchmark's replay (bench/e2e/replay.cc) still reads both fields.
   uint64_t slot0_cache_hits = 0;
   uint64_t slot0_gallop_resumes = 0;
   /// Shard accounting, filled only by ShardedEnsemble's stats overload:

@@ -515,8 +515,6 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
           merged.partitions_pruned += part_stats.partitions_pruned;
           merged.partitions_filter_skipped +=
               part_stats.partitions_filter_skipped;
-          merged.slot0_cache_hits += part_stats.slot0_cache_hits;
-          merged.slot0_gallop_resumes += part_stats.slot0_gallop_resumes;
         }
         merged.shards_gathered = gathered_count;
         merged.shards_skipped = num_shards - gathered_count;

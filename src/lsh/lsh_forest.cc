@@ -7,7 +7,6 @@
 
 #include "io/coding.h"
 #include "minhash/hash_kernel.h"
-#include "util/instance_id.h"
 
 namespace lshensemble {
 
@@ -17,9 +16,7 @@ std::atomic<uint64_t>& ArenaCopyBytes() {
 }
 
 LshForest::LshForest(int num_trees, int tree_depth)
-    : num_trees_(num_trees),
-      tree_depth_(tree_depth),
-      instance_id_(NextInstanceId()) {}
+    : num_trees_(num_trees), tree_depth_(tree_depth) {}
 
 Result<LshForest> LshForest::Create(int num_trees, int tree_depth) {
   if (num_trees <= 0 || tree_depth <= 0) {
@@ -37,6 +34,10 @@ Status LshForest::Add(uint64_t id, const MinHash& signature) {
       signature.num_hashes() < num_trees_ * tree_depth_) {
     return Status::InvalidArgument(
         "signature shorter than num_trees * tree_depth hash values");
+  }
+  if (ids_.size() >= std::numeric_limits<uint32_t>::max()) {
+    // Entry indices and slot-0 positions are u32.
+    return Status::OutOfRange("LshForest holds at most 2^32 - 1 entries");
   }
   const auto& mins = signature.values();
   const size_t row = static_cast<size_t>(num_trees_) * tree_depth_;
@@ -81,7 +82,6 @@ void LshForest::Index() {
   }
   keys_.owned() = std::move(sorted);
   BuildFirstKeys();
-  BuildSlot0RunIndex();
   indexed_ = true;
 }
 
@@ -96,38 +96,8 @@ void LshForest::BuildFirstKeys() {
   }
 }
 
-void LshForest::BuildSlot0RunIndex() {
-  const size_t n = ids_.size();
-  if (n == 0 || n > kSlot0IndexMaxN) return;
-  // Count the runs first so the table is sized once, at most half full.
-  size_t runs = 0;
-  for (int t = 0; t < num_trees_; ++t) {
-    const uint32_t* first = TreeFirstKeys(t);
-    for (size_t pos = 0; pos < n; ++pos) {
-      runs += pos == 0 || first[pos] != first[pos - 1];
-    }
-  }
-  size_t slots = 8;
-  while (slots < runs * 2) slots <<= 1;
-  slot0_mask_ = slots - 1;
-  slot0_runs_.assign(slots, Slot0Run{kSlot0EmptyKey, 0, 0});
-  for (int t = 0; t < num_trees_; ++t) {
-    const uint32_t* first = TreeFirstKeys(t);
-    for (size_t lo = 0; lo < n;) {
-      size_t hi = lo + 1;
-      while (hi < n && first[hi] == first[lo]) ++hi;
-      const uint64_t key =
-          (static_cast<uint64_t>(t) << 32) | first[lo];
-      // FindSlot0Run lands on the first free slot of the probe chain
-      // (keys are unique within a build).
-      const_cast<Slot0Run&>(FindSlot0Run(key)) = {
-          key, static_cast<uint32_t>(lo), static_cast<uint32_t>(hi)};
-      lo = hi;
-    }
-  }
-}
-
-void LshForest::ProbeScratch::Begin(uint64_t owner_id, size_t n) {
+void LshForest::ProbeScratch::Begin(size_t n, int num_trees,
+                                     int tree_depth) {
   if (marks_.size() < n) {
     marks_.assign(n, 0);
     epoch_ = 0;
@@ -138,28 +108,14 @@ void LshForest::ProbeScratch::Begin(uint64_t owner_id, size_t n) {
     std::fill(marks_.begin(), marks_.end(), 0u);
     epoch_ = 1;
   }
-  if (cache_owner_id_ != owner_id) {
-    if (owner_streak_ < 2) {
-      // Two owner changes in a row without the memos re-engaging: the
-      // scratch has left the batched partition-cycling pattern (which
-      // revisits every forest with streaks >= 2 and must keep its
-      // allocation), so stop pinning the stale memo memory. A long-lived
-      // serving scratch that migrates away from a big forest frees its
-      // cache on the second foreign probe instead of holding it forever.
-      std::vector<RangeCacheSlot>().swap(range_cache_);
-      std::vector<TreeMemoSlot>().swap(tree_memo_);
-    }
-    cache_owner_id_ = owner_id;
-    owner_streak_ = 1;
-    if (++cache_gen_ == 0) {
-      // Generation wrapped: wipe the slots so entries stamped 2^32 forest
-      // switches ago cannot read as fresh.
-      std::fill(range_cache_.begin(), range_cache_.end(), RangeCacheSlot{});
-      std::fill(tree_memo_.begin(), tree_memo_.end(), TreeMemoSlot{});
-      cache_gen_ = 1;
-    }
-  } else if (owner_streak_ < 2) {
-    ++owner_streak_;
+  const size_t trees = static_cast<size_t>(num_trees);
+  if (slot0_keys_.size() < trees) {
+    slot0_keys_.resize(trees);
+    range_lo_.resize(trees);
+    range_hi_.resize(trees);
+  }
+  if (prefix_.size() < static_cast<size_t>(tree_depth)) {
+    prefix_.resize(static_cast<size_t>(tree_depth));
   }
 }
 
@@ -189,194 +145,37 @@ Status LshForest::Probe(const MinHash& signature, int b, int r,
   // compares a whole depth-(r-1) suffix with one masked 256-bit load and
   // movemask instead of a scalar slot loop (minhash/hash_kernel.h).
   const HashKernelOps& kernel = ActiveKernelOps();
-  scratch->Begin(instance_id_, n);
-  scratch->prefix_.resize(static_cast<size_t>(r));
-  scratch->slot0_keys_.resize(static_cast<size_t>(b));
-  scratch->range_lo_.resize(static_cast<size_t>(b));
-  scratch->range_hi_.resize(static_cast<size_t>(b));
-  scratch->pend_keys_.resize(static_cast<size_t>(b));
-  scratch->pend_lo_.resize(static_cast<size_t>(b));
-  scratch->pend_hi_.resize(static_cast<size_t>(b));
-  scratch->pending_.clear();
+  scratch->Begin(n, num_trees_, tree_depth_);
   uint32_t* prefix = scratch->prefix_.data();
   uint32_t* keys0 = scratch->slot0_keys_.data();
-  uint32_t* pend_keys = scratch->pend_keys_.data();
-  uint32_t* pend_lo = scratch->pend_lo_.data();
-  uint32_t* pend_hi = scratch->pend_hi_.data();
-
-  if (n > std::numeric_limits<uint32_t>::max()) {
-    // Positions would overflow the descent kernel's u32 window interface.
-    // Such a forest cannot actually exist (entry permutations are u32),
-    // but stay correct rather than assume it.
-    for (int t = 0; t < b; ++t) {
-      const uint32_t* first = TreeFirstKeys(t);
-      const uint32_t p0 = TruncateHash(mins[static_cast<size_t>(t) * depth]);
-      keys0[t] = p0;
-      const uint32_t* lo = std::lower_bound(first, first + n, p0);
-      scratch->range_lo_[t] = static_cast<size_t>(lo - first);
-      scratch->range_hi_[t] =
-          static_cast<size_t>(std::upper_bound(lo, first + n, p0) - first);
-    }
-  } else if (!slot0_runs_.empty()) {
-    // Small owned forest: the slot-0 run index answers every tree's equal
-    // range with one hash lookup — no descent, no per-scratch warmup, and
-    // the table stays valid across forest switches (it belongs to the
-    // forest, not the scratch). Misses mean the key has no run: the range
-    // is empty and the refine/emit loop skips the tree.
-    for (int t = 0; t < b; ++t) {
-      const uint32_t p0 = TruncateHash(mins[static_cast<size_t>(t) * depth]);
-      keys0[t] = p0;
-      const Slot0Run& run =
-          FindSlot0Run((static_cast<uint64_t>(t) << 32) | p0);
-      const bool found = run.key != kSlot0EmptyKey;
-      scratch->range_lo_[t] = run.lo;
-      scratch->range_hi_[t] = run.hi;
-      scratch->slot0_cache_hits_ += found;
-    }
-  } else {
-    // Slot-0 equal ranges repeat heavily across probes of the same forest:
-    // popular values win the min in many domains (the paper's shared
-    // vocabulary, Section 6.3), so distinct first-slot keys are far fewer
-    // than queries. Under the batched engine's partition-major order the
-    // scratch stays on one forest for a whole chunk, and two memos carry
-    // work across probes: a direct-mapped (tree, key) -> [lo, hi) cache
-    // for exact repeats, and a per-tree last-range memo whose ordering
-    // information lets a *missing* key gallop into a narrow descent
-    // window instead of bisecting [0, n).
-    const bool use_cache = scratch->owner_streak_ >= 2;
-    if (use_cache) {
-      if (scratch->range_cache_.empty()) {
-        scratch->range_cache_.resize(ProbeScratch::kRangeCacheSlots);
-      }
-      if (scratch->tree_memo_.size() < static_cast<size_t>(num_trees_)) {
-        scratch->tree_memo_.resize(static_cast<size_t>(num_trees_));
-      }
-    }
-    const uint32_t gen = scratch->cache_gen_;
-    const uint32_t un = static_cast<uint32_t>(n);
-
-    for (int t = 0; t < b; ++t) {
-      const uint32_t p0 = TruncateHash(mins[static_cast<size_t>(t) * depth]);
-      keys0[t] = p0;
-      uint32_t wlo = 0;
-      uint32_t whi = un;
-      if (use_cache) {
-        const auto& slot = scratch->range_cache_[ProbeScratch::CacheIndex(
-            static_cast<uint32_t>(t), p0)];
-        if (slot.gen == gen && slot.tree == static_cast<uint32_t>(t) &&
-            slot.p0 == p0) {
-          scratch->range_lo_[t] = slot.lo;
-          scratch->range_hi_[t] = slot.hi;
-          ++scratch->slot0_cache_hits_;
-          continue;
-        }
-        const auto& memo = scratch->tree_memo_[t];
-        if (memo.gen == gen) {
-          if (memo.key == p0) {
-            // The direct-mapped slot was evicted but the tree's last
-            // probe asked for this very key.
-            scratch->range_lo_[t] = memo.lo;
-            scratch->range_hi_[t] = memo.hi;
-            ++scratch->slot0_cache_hits_;
-            continue;
-          }
-          // Galloping warm-start: the memo orders p0 against its key, so
-          // one side of the last range bounds the new search. The memo's
-          // ordering alone clips the window for free; on big forests a
-          // few doubling probes (cache-warm: they touch the lines the
-          // last descent ended on) additionally pin the far edge, saving
-          // whole descent rounds. Small forests skip the probes — their
-          // descent is already L1-resident and the serial loads cost more
-          // than the rounds they would save.
-          constexpr uint32_t kGallopProbeMinN = 4096;
-          constexpr int kGallopSteps = 5;
-          if (p0 > memo.key) {
-            // Positions below memo.hi hold keys <= memo.key < p0.
-            wlo = memo.hi;
-            if (un >= kGallopProbeMinN) {
-              const uint32_t* first = TreeFirstKeys(t);
-              uint32_t d = 1;
-              int steps = kGallopSteps;
-              bool bounded = false;
-              while (wlo + d < un) {
-                if (first[wlo + d] > p0) {
-                  bounded = true;
-                  break;
-                }
-                if (--steps == 0) break;
-                d <<= 1;
-              }
-              whi = bounded ? wlo + d : un;
-            }
-          } else {
-            // Positions at or above memo.lo hold keys >= memo.key > p0.
-            whi = memo.lo;
-            if (un >= kGallopProbeMinN) {
-              const uint32_t* first = TreeFirstKeys(t);
-              uint32_t d = 1;
-              int steps = kGallopSteps;
-              bool bounded = false;
-              while (d <= whi) {
-                if (first[whi - d] < p0) {
-                  bounded = true;
-                  break;
-                }
-                if (--steps == 0) break;
-                d <<= 1;
-              }
-              wlo = bounded ? whi - d : 0;
-            }
-          }
-          if (wlo != 0 || whi != un) ++scratch->slot0_gallop_resumes_;
-        }
-      }
-      const size_t i = scratch->pending_.size();
-      scratch->pending_.push_back(static_cast<uint32_t>(t));
-      pend_keys[i] = p0;
-      pend_lo[i] = wlo;
-      pend_hi[i] = whi;
-    }
-
-    // One lockstep branchless descent answers every pending tree's slot-0
-    // equal range (lower and upper bound together); the dispatched kernel
-    // gathers 8/16 windows per round on AVX2/AVX-512, and the scalar form
-    // interleaves its loads for the same memory-level parallelism.
-    const size_t pending = scratch->pending_.size();
-    if (pending > 0) {
-      kernel.lower_bound_many(first_keys_.data(), un,
-                              scratch->pending_.data(), pend_keys, pending,
-                              pend_lo, pend_hi);
-      for (size_t i = 0; i < pending; ++i) {
-        const uint32_t t = scratch->pending_[i];
-        const uint32_t lo = pend_lo[i];
-        const uint32_t hi = pend_hi[i];
-        scratch->range_lo_[t] = lo;
-        scratch->range_hi_[t] = hi;
-        if (use_cache) {
-          const uint32_t p0 = pend_keys[i];
-          scratch->range_cache_[ProbeScratch::CacheIndex(t, p0)] = {p0, gen,
-                                                                    t, lo, hi};
-          scratch->tree_memo_[t] = {p0, gen, lo, hi};
-        }
-      }
-    }
+  uint32_t* range_lo = scratch->range_lo_.data();
+  uint32_t* range_hi = scratch->range_hi_.data();
+  for (int t = 0; t < b; ++t) {
+    keys0[t] = TruncateHash(mins[static_cast<size_t>(t) * depth]);
   }
+  // One lockstep branchless descent answers every probed tree's slot-0
+  // equal range (lower and upper bound together); the dispatched kernel
+  // gathers 8/16 trees per round on AVX2/AVX-512, and the scalar form
+  // interleaves its loads for the same memory-level parallelism. n fits
+  // u32: Add() and both load paths cap a forest at 2^32 - 1 entries.
+  kernel.lower_bound_many(first_keys_.data(), static_cast<uint32_t>(n), keys0,
+                          static_cast<size_t>(b), range_lo, range_hi);
 
   // Refine hand-off: the refine/emit loop below first touches each tree's
-  // full key rows and entry permutation at range_lo_ — b independent
+  // full key rows and entry permutation at range_lo — b independent
   // likely-misses. Issue them all up front so they overlap instead of
   // serializing tree by tree.
   for (int t = 0; t < b; ++t) {
-    const size_t lo = scratch->range_lo_[t];
-    if (lo < scratch->range_hi_[t]) {
+    const size_t lo = range_lo[t];
+    if (lo < range_hi[t]) {
       __builtin_prefetch(TreeKeys(t) + lo * depth);
       __builtin_prefetch(TreeEntries(t) + lo);
     }
   }
 
   for (int t = 0; t < b; ++t) {
-    size_t lo = scratch->range_lo_[t];
-    size_t hi = scratch->range_hi_[t];
+    size_t lo = range_lo[t];
+    size_t hi = range_hi[t];
     if (lo >= hi) continue;
     if (r > 1) {
       const size_t base = static_cast<size_t>(t) * depth;
@@ -385,7 +184,6 @@ Status LshForest::Probe(const MinHash& signature, int b, int r,
       kernel.refine_prefix_range(TreeKeys(t), depth, prefix, r, &lo, &hi);
     }
     const uint32_t* entries = TreeEntries(t);
-    const size_t n = ids_.size();
     for (size_t pos = lo; pos < hi; ++pos) {
       const uint32_t entry = entries[pos];
       // Entry indices feed ids_[entry] and the dedup bitmap; the writer
@@ -437,7 +235,7 @@ Result<LshForest> LshForest::Deserialize(std::string_view data) {
     return Status::Corruption("forest image: truncated header");
   }
   if (num_trees == 0 || tree_depth == 0 || num_trees > 4096 ||
-      tree_depth > 4096 || n > (uint64_t{1} << 40)) {
+      tree_depth > 4096 || n > std::numeric_limits<uint32_t>::max()) {
     return Status::Corruption("forest image: implausible shape");
   }
   // Reject sizes the payload cannot possibly hold before allocating.
@@ -485,7 +283,6 @@ Result<LshForest> LshForest::Deserialize(std::string_view data) {
     return Status::Corruption("forest image: trailing bytes");
   }
   forest.BuildFirstKeys();
-  forest.BuildSlot0RunIndex();
   forest.indexed_ = true;
   CountArenaCopy(forest.ids_.size() * sizeof(uint64_t) +
                  (forest.keys_.size() + forest.entry_of_.size() +
@@ -507,7 +304,8 @@ Result<LshForest> LshForest::FromMapped(int num_trees, int tree_depth,
   const size_t n = ids.size();
   const size_t trees = static_cast<size_t>(num_trees);
   const size_t depth = static_cast<size_t>(tree_depth);
-  if (keys.size() != n * trees * depth || entries.size() != n * trees ||
+  if (n > std::numeric_limits<uint32_t>::max() ||
+      keys.size() != n * trees * depth || entries.size() != n * trees ||
       first_keys.size() != n * trees) {
     return Status::Corruption("mapped forest: arena extents do not match");
   }
@@ -525,8 +323,7 @@ Result<LshForest> LshForest::FromMapped(int num_trees, int tree_depth,
 
 size_t LshForest::MemoryBytes() const {
   return ids_.OwnedCapacityBytes() + keys_.OwnedCapacityBytes() +
-         first_keys_.OwnedCapacityBytes() + entry_of_.OwnedCapacityBytes() +
-         slot0_runs_.capacity() * sizeof(Slot0Run);
+         first_keys_.OwnedCapacityBytes() + entry_of_.OwnedCapacityBytes();
 }
 
 }  // namespace lshensemble

@@ -6,11 +6,15 @@
 // (b, r) per query and per partition (paper Section 5.5).
 //
 // Each "tree" is stored flattened: a sorted array of fixed-width keys
-// (tree_depth hash values) plus the owning entry; a depth-r prefix lookup is
-// a pair of binary searches. This is equivalent to a prefix tree probed to
-// depth r, but contiguous in memory. Keys keep the top 32 bits of each
-// 61-bit min-hash value: a spurious per-slot collision has probability
-// ~2^-32, far below the LSH's intrinsic error, and the index halves in size.
+// (tree_depth hash values) plus the owning entry. A depth-r probe of the
+// first b trees is two searches per tree: one lockstep descent finds the
+// slot-0 equal range of all b trees at once (HashKernelOps::
+// lower_bound_many over the dense first-key arrays), then each range is
+// refined on slots 1..r-1 of the full rows. This is equivalent to b prefix
+// trees probed to depth r, but contiguous in memory. Keys keep the top 32
+// bits of each 61-bit min-hash value: a spurious per-slot collision has
+// probability ~2^-32, far below the LSH's intrinsic error, and the index
+// halves in size.
 //
 // All trees live in ONE contiguous key arena (tree-major after Index(),
 // record-major while building) plus one entry-permutation arena, so the
@@ -47,9 +51,10 @@ class LshForest {
  public:
   /// \brief Reusable per-thread scratch for Probe(): an epoch-stamped mark
   /// array (one slot per forest entry) used to dedup collisions across
-  /// trees without allocating, the probe-prefix buffers, and a slot-0
-  /// range cache that pays off when many probes hit the same forest
-  /// back to back (the batched engine's partition-major order).
+  /// trees without allocating, plus the per-tree slot-0 keys and equal
+  /// ranges and the probe-prefix buffer. Every buffer is sized to the
+  /// forest's (num_trees, tree_depth), not the probe's (b, r), so a warm
+  /// scratch never allocates again, whatever (b, r) later probes pick.
   ///
   /// A scratch may be reused across Probe() calls against *different*
   /// forests (it grows to the largest forest seen and never shrinks), but
@@ -60,68 +65,19 @@ class LshForest {
 
     /// Bytes held by the scratch buffers (for tests/introspection).
     size_t MemoryBytes() const {
-      return marks_.capacity() * sizeof(uint32_t) +
-             prefix_.capacity() * sizeof(uint32_t) +
-             (slot0_keys_.capacity() + pending_.capacity() +
-              pend_keys_.capacity() + pend_lo_.capacity() +
-              pend_hi_.capacity()) *
-                 sizeof(uint32_t) +
-             (range_lo_.capacity() + range_hi_.capacity()) * sizeof(size_t) +
-             range_cache_.capacity() * sizeof(RangeCacheSlot) +
-             tree_memo_.capacity() * sizeof(TreeMemoSlot);
+      return (marks_.capacity() + prefix_.capacity() +
+              slot0_keys_.capacity() + range_lo_.capacity() +
+              range_hi_.capacity()) *
+             sizeof(uint32_t);
     }
-
-    /// Cumulative count of probed trees whose slot-0 equal range was
-    /// answered from the memo without any search: a direct (tree, key)
-    /// cache hit, or the per-tree last-range memo re-seeing its key.
-    uint64_t slot0_cache_hits() const { return slot0_cache_hits_; }
-    /// Cumulative count of probed trees whose descent window was galloped
-    /// down from the per-tree last-range memo instead of starting at
-    /// [0, n).
-    uint64_t slot0_gallop_resumes() const { return slot0_gallop_resumes_; }
 
    private:
     friend class LshForest;
 
-    /// One memoized slot-0 equal range: probing tree `tree` of the current
-    /// owner forest with first-slot key `p0` yields sorted positions
-    /// [lo, hi). Valid iff `gen` matches the scratch's current generation
-    /// (bumped whenever the owner forest changes).
-    struct RangeCacheSlot {
-      uint32_t p0 = 0;
-      uint32_t gen = 0;
-      uint32_t tree = 0;
-      uint32_t lo = 0;
-      uint32_t hi = 0;
-    };
-    /// Cache size; 4096 20-byte slots keep the table L2-resident.
-    static constexpr size_t kRangeCacheSlots = 4096;
-
-    /// The last slot-0 equal range the scratch computed for one tree of
-    /// the current owner forest: probing `tree` with first-slot key `key`
-    /// yielded [lo, hi). Unlike the direct-mapped cache above (exact
-    /// repeats only), this memo also pays off on a *miss*: a different
-    /// key is ordered against `key`, so the next descent can gallop from
-    /// hi (key above) or lo (key below) instead of bisecting [0, n).
-    /// Valid iff `gen` matches the scratch's current generation.
-    struct TreeMemoSlot {
-      uint32_t key = 0;
-      uint32_t gen = 0;
-      uint32_t lo = 0;
-      uint32_t hi = 0;
-    };
-
-    /// Direct-mapped slot index for (tree, p0).
-    static size_t CacheIndex(uint32_t tree, uint32_t p0) {
-      return (tree * 0x9E3779B9u ^ p0 * 0x85EBCA6Bu) &
-             (kRangeCacheSlots - 1);
-    }
-
-    /// Start a new probe over the forest with instance id `owner_id` and
-    /// `n` entries: grow the mark array if needed, open a fresh dedup
-    /// epoch (clearing only on epoch wrap), and invalidate the range
-    /// cache if the forest changed.
-    void Begin(uint64_t owner_id, size_t n);
+    /// Start a new probe over a forest of `n` entries, `num_trees` trees
+    /// and depth `tree_depth`: grow the buffers if needed and open a fresh
+    /// dedup epoch (clearing the marks only on epoch wrap).
+    void Begin(size_t n, int num_trees, int tree_depth);
     /// True the first time `entry` is seen in the current epoch.
     bool MarkOnce(uint32_t entry) {
       if (marks_[entry] == epoch_) return false;
@@ -131,35 +87,13 @@ class LshForest {
 
     std::vector<uint32_t> marks_;
     std::vector<uint32_t> prefix_;
-    // First-slot search state: one key per probed tree, the list of trees
-    // that missed the memos, and their kernel-facing key/window arrays
-    // (inputs seeded by the gallop, overwritten with the equal ranges by
-    // HashKernelOps::lower_bound_many).
+    // Slot-0 search state, one element per tree: the probe's first-slot
+    // keys (HashKernelOps::lower_bound_many input) and the equal ranges
+    // [range_lo_[t], range_hi_[t]) it writes back.
     std::vector<uint32_t> slot0_keys_;
-    std::vector<uint32_t> pending_;
-    std::vector<uint32_t> pend_keys_;
-    std::vector<uint32_t> pend_lo_;
-    std::vector<uint32_t> pend_hi_;
-    std::vector<size_t> range_lo_;
-    std::vector<size_t> range_hi_;
-    std::vector<RangeCacheSlot> range_cache_;
-    std::vector<TreeMemoSlot> tree_memo_;
-    // Owner identity is the forest's process-unique instance id, not its
-    // address: a destroyed forest's address can be reallocated to a new
-    // one, which must not inherit its cached ranges.
-    uint64_t cache_owner_id_ = 0;
-    uint32_t cache_gen_ = 0;
-    // Consecutive probes against cache_owner_ (saturating). The cache only
-    // engages from the second probe on: one-shot probe patterns (the
-    // stateless single-query path visits each forest once) never pay for
-    // its allocation and fills.
-    uint32_t owner_streak_ = 0;
+    std::vector<uint32_t> range_lo_;
+    std::vector<uint32_t> range_hi_;
     uint32_t epoch_ = 0;
-    // Memo-effectiveness counters (see the public accessors above);
-    // cumulative across the scratch's lifetime, sampled as deltas by the
-    // engine's stats plumbing.
-    uint64_t slot0_cache_hits_ = 0;
-    uint64_t slot0_gallop_resumes_ = 0;
   };
 
   /// \param num_trees   b_max: maximum number of probe trees.
@@ -172,7 +106,8 @@ class LshForest {
   size_t size() const { return ids_.size(); }
   bool indexed() const { return indexed_; }
 
-  /// Buffer one signature under `id`. Fails after Index().
+  /// Buffer one signature under `id`. Fails after Index(), and once the
+  /// forest holds 2^32 - 1 entries (entry indices are u32).
   Status Add(uint64_t id, const MinHash& signature);
 
   /// Sort all trees; call once after the last Add. Idempotent.
@@ -211,7 +146,7 @@ class LshForest {
   /// \brief Construct a query-ready forest whose arenas BORROW the given
   /// spans — no copy is made; `backing` keeps the owner (typically a
   /// mapped snapshot) alive for the forest's lifetime. Spans must hold
-  /// exactly n ids, n*num_trees*tree_depth keys, n*num_trees entries and
+  /// exactly n < 2^32 ids, n*num_trees*tree_depth keys, n*num_trees entries and
   /// n*num_trees first-slot keys, laid out tree-major as after Index().
   /// Entry indices are range-checked up front (an out-of-range entry in a
   /// lazily-verified snapshot must fail the open, not crash a probe);
@@ -275,48 +210,9 @@ class LshForest {
   /// Derive first_keys_ from the tree-major sorted key arena.
   void BuildFirstKeys();
 
-  /// One slot-0 run of the forest: tree `key >> 32` holds first-slot key
-  /// `(uint32_t)key` at sorted positions [lo, hi). Slot of the open
-  /// addressing table below; `key == kSlot0EmptyKey` marks a free slot
-  /// (unreachable as a real key: tree indices are ints, far below 2^32-1).
-  struct Slot0Run {
-    uint64_t key;
-    uint32_t lo;
-    uint32_t hi;
-  };
-  static constexpr uint64_t kSlot0EmptyKey = ~uint64_t{0};
-  /// Forests at or below this entry count get an exact slot-0 run index;
-  /// above it the table's footprint stops being small next to the key
-  /// arena and probes use the descent kernels instead. Matches the size
-  /// where the probe's galloping warm-start turns on.
-  static constexpr size_t kSlot0IndexMaxN = 4096;
-
-  /// Build slot0_runs_ from first_keys_: every (tree, first-slot key) run
-  /// of a small forest, in one power-of-two open-addressing table. Called
-  /// by Index() and the v1 deserialize path; mapped opens skip it to keep
-  /// their no-fault-in guarantee (their probes take the descent path).
-  void BuildSlot0RunIndex();
-
-  /// Table slot for `key`, following the linear-probe chain to the run or
-  /// the first empty slot. Requires slot0_runs_ to be built.
-  const Slot0Run& FindSlot0Run(uint64_t key) const {
-    size_t h = key * 0x9E3779B97F4A7C15ull;
-    h ^= h >> 32;
-    h &= slot0_mask_;
-    while (slot0_runs_[h].key != key &&
-           slot0_runs_[h].key != kSlot0EmptyKey) {
-      h = (h + 1) & slot0_mask_;
-    }
-    return slot0_runs_[h];
-  }
-
   int num_trees_;
   int tree_depth_;
   bool indexed_ = false;
-  /// Process-unique identity of this forest (copied by moves; the
-  /// moved-from forest is left empty, so its aliased id is inert). Keys
-  /// ProbeScratch's range cache across forest lifetimes.
-  uint64_t instance_id_;
 
   // All four arenas are owned-or-mapped (lsh/arena_ref.h): owned vectors
   // on the build and v1-deserialize paths, borrowed views into a mapped
@@ -331,10 +227,6 @@ class LshForest {
   // absent from the v1 wire format (v2 snapshots store it so a mapped
   // open derives nothing): see TreeFirstKeys().
   ArenaRef<uint32_t> first_keys_;
-  // Derived slot-0 run index for small owned forests (empty otherwise);
-  // never serialized. See BuildSlot0RunIndex().
-  std::vector<Slot0Run> slot0_runs_;
-  size_t slot0_mask_ = 0;
   // Tree-major permutation arena (filled by Index()): TreeEntries(t)[pos]
   // is the insertion index of tree t's key at sorted position `pos`, so
   // ids_[TreeEntries(t)[pos]] is the owning id.

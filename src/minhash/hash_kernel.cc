@@ -142,7 +142,7 @@ void ScalarRefinePrefixRange(const uint32_t* keys, size_t depth,
 }
 
 /// Trees per lockstep block of the scalar slot-0 descent: the block's
-/// cursors and window lengths live in locals, and the loads of one round
+/// cursors and keys live in locals, and the loads of one round
 /// are independent so the core overlaps their cache misses (the same
 /// memory-level parallelism the gather kernels get architecturally).
 constexpr size_t kDescentBlock = 16;
@@ -151,16 +151,15 @@ constexpr size_t kDescentBlock = 16;
 /// slot-0 run is almost always short (a 32-bit collision plus whatever
 /// true duplicates the data carries), so scan forward from the lower
 /// bound, falling back to a binary search when a popular value produces a
-/// long run. `end` is the window end, which the caller guarantees bounds
-/// the upper bound.
-inline uint32_t ScanRunEnd(const uint32_t* first, uint32_t lb, uint32_t end,
+/// long run.
+inline uint32_t ScanRunEnd(const uint32_t* first, uint32_t lb, uint32_t n,
                            uint32_t key) {
   uint32_t hi = lb;
   int steps = 8;
-  while (hi < end && first[hi] == key) {
+  while (hi < n && first[hi] == key) {
     if (--steps == 0) {
       return static_cast<uint32_t>(
-          std::upper_bound(first + hi, first + end, key) - first);
+          std::upper_bound(first + hi, first + n, key) - first);
     }
     ++hi;
   }
@@ -168,41 +167,32 @@ inline uint32_t ScanRunEnd(const uint32_t* first, uint32_t lb, uint32_t end,
 }
 
 void ScalarLowerBoundMany(const uint32_t* first_keys, uint32_t n,
-                          const uint32_t* trees, const uint32_t* keys,
-                          size_t count, uint32_t* lo, uint32_t* hi) {
+                          const uint32_t* keys, size_t count, uint32_t* lo,
+                          uint32_t* hi) {
   for (size_t begin = 0; begin < count; begin += kDescentBlock) {
     const size_t block = std::min(kDescentBlock, count - begin);
     // Absolute cursors into the arena (64-bit: tree*n can exceed u32 for
-    // owned giant forests), one shared halving schedule with per-tree
-    // window lengths.
-    uint64_t base[kDescentBlock], cur[kDescentBlock];
-    uint32_t len[kDescentBlock], key[kDescentBlock];
-    bool again = false;
+    // owned giant forests). Every window starts as the whole tree, so the
+    // block shares one halving schedule.
+    uint64_t cur[kDescentBlock];
+    uint32_t key[kDescentBlock];
     for (size_t j = 0; j < block; ++j) {
-      const size_t i = begin + j;
-      base[j] = static_cast<uint64_t>(trees[i]) * n;
-      key[j] = keys[i];
-      cur[j] = base[j] + lo[i];
-      len[j] = hi[i] - lo[i];
-      again |= len[j] > 1;
+      cur[j] = static_cast<uint64_t>(begin + j) * n;
+      key[j] = keys[begin + j];
     }
-    while (again) {
-      again = false;
+    for (uint32_t len = n; len > 1;) {
+      const uint32_t half = len >> 1;
       for (size_t j = 0; j < block; ++j) {
-        if (len[j] <= 1) continue;
-        const uint32_t half = len[j] >> 1;
         cur[j] += (first_keys[cur[j] + half - 1] < key[j]) ? half : 0;
-        len[j] -= half;
-        again |= len[j] > 1;
       }
+      len -= half;
     }
     for (size_t j = 0; j < block; ++j) {
-      const size_t i = begin + j;
-      if (len[j] == 0) continue;  // empty window: equal range is [lo, lo)
-      const uint32_t lb = static_cast<uint32_t>(cur[j] - base[j]) +
+      const uint64_t base = static_cast<uint64_t>(begin + j) * n;
+      const uint32_t lb = static_cast<uint32_t>(cur[j] - base) +
                           (first_keys[cur[j]] < key[j] ? 1u : 0u);
-      hi[i] = ScanRunEnd(first_keys + base[j], lb, hi[i], key[j]);
-      lo[i] = lb;
+      lo[begin + j] = lb;
+      hi[begin + j] = ScanRunEnd(first_keys + base, lb, n, key[j]);
     }
   }
 }
@@ -722,145 +712,112 @@ LSHE_TARGET_AVX2 void Avx2RefinePrefixRange(const uint32_t* keys,
   *hi = end;
 }
 
-/// True when every gather index (max_tree+1)*n - 1 of a lower_bound_many
-/// call fits the SIGNED 32-bit lane of vpgatherdd; oversized arenas take
-/// the scalar descent (which indexes with 64-bit cursors).
-inline bool GatherIndexable(const uint32_t* trees, size_t count, uint32_t n) {
-  uint32_t max_tree = 0;
-  for (size_t i = 0; i < count; ++i) max_tree = std::max(max_tree, trees[i]);
-  return (static_cast<uint64_t>(max_tree) + 1) * n <=
-         static_cast<uint64_t>(INT32_MAX);
+/// True when every gather index count*n - 1 of a lower_bound_many call
+/// fits the SIGNED 32-bit lane of vpgatherdd; oversized arenas take the
+/// scalar descent (which indexes with 64-bit cursors).
+inline bool GatherIndexable(size_t count, uint32_t n) {
+  return static_cast<uint64_t>(count) * n <= static_cast<uint64_t>(INT32_MAX);
 }
 
-/// 8 trees per descent round: masked vpgatherdd probes the midpoints of
-/// all live windows at once (mask = len > 1, so finished or empty lanes
-/// never read), and the branchless halving runs entirely in registers.
-/// Only the lower bound descends; the equal range's end is found by the
-/// shared short forward scan, which beats a second descent because slot-0
-/// runs are nearly always a handful of entries. AVX2 has no unsigned
-/// 32-bit compare, so keys and gathered values are biased by 2^31 and
-/// compared signed.
+/// 8 trees per descent round: vpgatherdd probes the midpoints of all
+/// eight windows at once, and the branchless halving runs entirely in
+/// registers (the windows share one length, so no lane ever idles). Only
+/// the lower bound descends; the equal range's end is found by the shared
+/// short forward scan, which beats a second descent because slot-0 runs
+/// are nearly always a handful of entries. AVX2 has no unsigned 32-bit
+/// compare, so keys and gathered values are biased by 2^31 and compared
+/// signed.
 LSHE_TARGET_AVX2 void Avx2LowerBoundMany(const uint32_t* first_keys,
-                                         uint32_t n, const uint32_t* trees,
-                                         const uint32_t* keys, size_t count,
-                                         uint32_t* lo, uint32_t* hi) {
-  if (!GatherIndexable(trees, count, n)) {
-    ScalarLowerBoundMany(first_keys, n, trees, keys, count, lo, hi);
+                                         uint32_t n, const uint32_t* keys,
+                                         size_t count, uint32_t* lo,
+                                         uint32_t* hi) {
+  if (!GatherIndexable(count, n)) {
+    ScalarLowerBoundMany(first_keys, n, keys, count, lo, hi);
     return;
   }
   const int* base_ptr = reinterpret_cast<const int*>(first_keys);
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi32(1);
   const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
   const __m256i vn = _mm256_set1_epi32(static_cast<int>(n));
+  const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   size_t i = 0;
   for (; i + 8 <= count; i += 8) {
-    const __m256i vtree =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(trees + i));
-    const __m256i vlo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo + i));
-    const __m256i vhi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi + i));
+    const __m256i vbase = _mm256_mullo_epi32(
+        _mm256_add_epi32(lanes, _mm256_set1_epi32(static_cast<int>(i))), vn);
     const __m256i vkeyb = _mm256_xor_si256(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i)), bias);
-    const __m256i vbase = _mm256_mullo_epi32(vtree, vn);
-    __m256i vcur = _mm256_add_epi32(vbase, vlo);
-    __m256i vlen = _mm256_sub_epi32(vhi, vlo);
-    for (;;) {
-      const __m256i active = _mm256_cmpgt_epi32(vlen, one);
-      if (_mm256_testz_si256(active, active)) break;
-      const __m256i vhalf = _mm256_srli_epi32(vlen, 1);
-      const __m256i idx =
-          _mm256_sub_epi32(_mm256_add_epi32(vcur, vhalf), one);
-      const __m256i g =
-          _mm256_mask_i32gather_epi32(zero, base_ptr, idx, active, 4);
-      const __m256i lt =
-          _mm256_cmpgt_epi32(vkeyb, _mm256_xor_si256(g, bias));
+    __m256i vcur = vbase;
+    for (uint32_t len = n; len > 1;) {
+      const uint32_t half = len >> 1;
+      const __m256i idx = _mm256_add_epi32(
+          vcur, _mm256_set1_epi32(static_cast<int>(half - 1)));
+      const __m256i g = _mm256_i32gather_epi32(base_ptr, idx, 4);
+      const __m256i lt = _mm256_cmpgt_epi32(vkeyb, _mm256_xor_si256(g, bias));
       vcur = _mm256_add_epi32(
-          vcur, _mm256_and_si256(vhalf, _mm256_and_si256(lt, active)));
-      vlen = _mm256_sub_epi32(vlen, _mm256_and_si256(vhalf, active));
+          vcur,
+          _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(half)), lt));
+      len -= half;
     }
-    // Final fixup for the surviving single-slot windows; empty windows
-    // (len 0 throughout) fall out as lo/hi unchanged since their cursors
-    // never moved and their fixup lanes stay masked off.
-    const __m256i m1 = _mm256_cmpeq_epi32(vlen, one);
-    const __m256i g = _mm256_mask_i32gather_epi32(zero, base_ptr, vcur, m1, 4);
-    const __m256i add = _mm256_and_si256(
-        one, _mm256_and_si256(
-                 m1, _mm256_cmpgt_epi32(vkeyb, _mm256_xor_si256(g, bias))));
-    alignas(32) uint32_t lb[8], live[8];
+    // Final fixup: the surviving single-slot window's key is below the
+    // query's iff the lower bound sits one past it (cmpgt yields -1).
+    const __m256i g = _mm256_i32gather_epi32(base_ptr, vcur, 4);
+    const __m256i lt = _mm256_cmpgt_epi32(vkeyb, _mm256_xor_si256(g, bias));
+    alignas(32) uint32_t lb[8];
     _mm256_store_si256(reinterpret_cast<__m256i*>(lb),
-                       _mm256_add_epi32(_mm256_sub_epi32(vcur, vbase), add));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(live), m1);
+                       _mm256_sub_epi32(_mm256_sub_epi32(vcur, vbase), lt));
     for (size_t j = 0; j < 8; ++j) {
-      if (!live[j]) continue;
-      const uint32_t* first =
-          first_keys + static_cast<size_t>(trees[i + j]) * n;
-      hi[i + j] = ScanRunEnd(first, lb[j], hi[i + j], keys[i + j]);
       lo[i + j] = lb[j];
+      hi[i + j] = ScanRunEnd(first_keys + (i + j) * n, lb[j], n, keys[i + j]);
     }
   }
   if (i < count) {
-    ScalarLowerBoundMany(first_keys, n, trees + i, keys + i, count - i,
-                         lo + i, hi + i);
+    ScalarLowerBoundMany(first_keys + i * n, n, keys + i, count - i, lo + i,
+                         hi + i);
   }
 }
 
 /// 16 trees per round with native unsigned compares and mask registers;
 /// otherwise the same descent as the AVX2 form.
 LSHE_TARGET_AVX512 void Avx512LowerBoundMany(const uint32_t* first_keys,
-                                             uint32_t n,
-                                             const uint32_t* trees,
-                                             const uint32_t* keys,
+                                             uint32_t n, const uint32_t* keys,
                                              size_t count, uint32_t* lo,
                                              uint32_t* hi) {
-  if (!GatherIndexable(trees, count, n)) {
-    ScalarLowerBoundMany(first_keys, n, trees, keys, count, lo, hi);
+  if (!GatherIndexable(count, n)) {
+    ScalarLowerBoundMany(first_keys, n, keys, count, lo, hi);
     return;
   }
-  const __m512i zero = _mm512_setzero_si512();
   const __m512i one = _mm512_set1_epi32(1);
   const __m512i vn = _mm512_set1_epi32(static_cast<int>(n));
+  const __m512i lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                          11, 12, 13, 14, 15);
   size_t i = 0;
   for (; i + 16 <= count; i += 16) {
-    const __m512i vtree = _mm512_loadu_si512(trees + i);
-    const __m512i vlo = _mm512_loadu_si512(lo + i);
-    const __m512i vhi = _mm512_loadu_si512(hi + i);
+    const __m512i vbase = _mm512_mullo_epi32(
+        _mm512_add_epi32(lanes, _mm512_set1_epi32(static_cast<int>(i))), vn);
     const __m512i vkey = _mm512_loadu_si512(keys + i);
-    const __m512i vbase = _mm512_mullo_epi32(vtree, vn);
-    __m512i vcur = _mm512_add_epi32(vbase, vlo);
-    __m512i vlen = _mm512_sub_epi32(vhi, vlo);
-    for (;;) {
-      const __mmask16 active = _mm512_cmplt_epu32_mask(one, vlen);
-      if (active == 0) break;
-      const __m512i vhalf = _mm512_srli_epi32(vlen, 1);
-      const __m512i idx =
-          _mm512_sub_epi32(_mm512_add_epi32(vcur, vhalf), one);
-      const __m512i g =
-          _mm512_mask_i32gather_epi32(zero, active, idx, first_keys, 4);
-      const __mmask16 lt = _mm512_mask_cmplt_epu32_mask(active, g, vkey);
-      vcur = _mm512_mask_add_epi32(vcur, lt, vcur, vhalf);
-      vlen = _mm512_mask_sub_epi32(vlen, active, vlen, vhalf);
+    __m512i vcur = vbase;
+    for (uint32_t len = n; len > 1;) {
+      const uint32_t half = len >> 1;
+      const __m512i idx = _mm512_add_epi32(
+          vcur, _mm512_set1_epi32(static_cast<int>(half - 1)));
+      const __m512i g = _mm512_i32gather_epi32(idx, first_keys, 4);
+      const __mmask16 lt = _mm512_cmplt_epu32_mask(g, vkey);
+      vcur = _mm512_mask_add_epi32(vcur, lt, vcur,
+                                   _mm512_set1_epi32(static_cast<int>(half)));
+      len -= half;
     }
-    const __mmask16 m1 = _mm512_cmpeq_epu32_mask(vlen, one);
-    const __m512i g =
-        _mm512_mask_i32gather_epi32(zero, m1, vcur, first_keys, 4);
-    const __mmask16 add = _mm512_mask_cmplt_epu32_mask(m1, g, vkey);
+    const __m512i g = _mm512_i32gather_epi32(vcur, first_keys, 4);
+    const __mmask16 add = _mm512_cmplt_epu32_mask(g, vkey);
     const __m512i pos = _mm512_sub_epi32(vcur, vbase);
     alignas(64) uint32_t lb[16];
     _mm512_store_si512(lb, _mm512_mask_add_epi32(pos, add, pos, one));
-    unsigned live = m1;
     for (size_t j = 0; j < 16; ++j) {
-      if (!(live & (1u << j))) continue;
-      const uint32_t* first =
-          first_keys + static_cast<size_t>(trees[i + j]) * n;
-      hi[i + j] = ScanRunEnd(first, lb[j], hi[i + j], keys[i + j]);
       lo[i + j] = lb[j];
+      hi[i + j] = ScanRunEnd(first_keys + (i + j) * n, lb[j], n, keys[i + j]);
     }
   }
   if (i < count) {
-    ScalarLowerBoundMany(first_keys, n, trees + i, keys + i, count - i,
-                         lo + i, hi + i);
+    ScalarLowerBoundMany(first_keys + i * n, n, keys + i, count - i, lo + i,
+                         hi + i);
   }
 }
 

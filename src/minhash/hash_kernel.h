@@ -67,26 +67,18 @@ struct HashKernelOps {
                               const uint32_t* prefix, int r, size_t* lo,
                               size_t* hi);
 
-  /// Phase 1 of an LshForest probe, batched over trees: slot-0 equal
-  /// ranges for all cache-missing trees of one probe, answered in one
-  /// lockstep branchless descent (one shared halving schedule, per-tree
-  /// window lengths) so the loads of a round overlap their cache misses.
-  /// `first_keys` is the forest's dense first-key arena — `num_trees`
-  /// sorted arrays of `n` u32 keys each, tree t's array starting at t*n.
-  /// For i in [0, count), search tree `trees[i]` for `keys[i]` inside the
-  /// half-open window [lo[i], hi[i]) (positions relative to the tree),
-  /// overwriting lo[i]/hi[i] with the equal range.
-  ///
-  /// The caller must seed every window so it brackets the tree's full
-  /// equal range: lower_bound >= lo[i] and upper_bound <= hi[i] over the
-  /// whole array (both hold trivially for [0, n), and for the galloped
-  /// windows LshForest::Probe derives from its range memo). An empty
-  /// window asserts the equal range is exactly [lo[i], lo[i]) and is
-  /// returned unchanged. The vector forms delegate to scalar when
-  /// (max_tree+1)*n overflows a signed 32-bit gather index.
+  /// Phase 1 of an LshForest probe, batched over trees: the slot-0 equal
+  /// ranges of trees 0..count-1, answered in one lockstep branchless
+  /// descent (one shared halving schedule over [0, n)) so the loads of a
+  /// round overlap their cache misses. `first_keys` is the forest's dense
+  /// first-key arena — at least `count` sorted arrays of `n` u32 keys
+  /// each, tree t's array starting at t*n. For i in [0, count), writes
+  /// tree i's equal range for `keys[i]` to [lo[i], hi[i]); both arrays
+  /// are outputs only. Requires n >= 1. The vector forms delegate to scalar when count*n
+  /// overflows a signed 32-bit gather index.
   void (*lower_bound_many)(const uint32_t* first_keys, uint32_t n,
-                           const uint32_t* trees, const uint32_t* keys,
-                           size_t count, uint32_t* lo, uint32_t* hi);
+                           const uint32_t* keys, size_t count, uint32_t* lo,
+                           uint32_t* hi);
 };
 
 /// The portable scalar table; always available.

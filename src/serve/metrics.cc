@@ -103,13 +103,6 @@ std::string ServerMetrics::RenderPrometheus() const {
   AppendCounter(&out, "lshe_serve_batched_requests_total",
                 "Requests answered through dispatch waves",
                 get(batched_requests));
-  AppendCounter(&out, "lshe_serve_slot0_cache_hits_total",
-                "Probed trees whose slot-0 range needed no descent "
-                "(run-index or memo hit)",
-                get(slot0_cache_hits));
-  AppendCounter(&out, "lshe_serve_slot0_gallop_resumes_total",
-                "Probe descents galloped from the per-tree range memo",
-                get(slot0_gallop_resumes));
   batch_fill.Render("lshe_serve_batch_fill",
                     "Requests coalesced per dispatch wave", &out);
   coalesce_latency_us.Render(

@@ -90,13 +90,6 @@ struct ServerMetrics {
   Pow2Histogram coalesce_latency_us;
   /// Engine latency: dispatch -> results per wave, in microseconds.
   Pow2Histogram dispatch_latency_us;
-  // ---- probe internals (summed from every wave's QueryStats) ----
-  /// Probed trees whose slot-0 equal range was answered without a
-  /// descent (forest run-index or scratch memo hit).
-  std::atomic<uint64_t> slot0_cache_hits{0};
-  /// Probe descents whose search window was galloped down from the
-  /// per-tree last-range memo instead of starting at [0, n).
-  std::atomic<uint64_t> slot0_gallop_resumes{0};
 
   /// \brief Render every family in Prometheus text format (metric names
   /// prefixed `lshe_serve_`).

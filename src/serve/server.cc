@@ -80,6 +80,7 @@ struct Connection {
   bool mode_known = false;  // sniffed binary vs HTTP yet?
   bool http = false;
   std::string http_buf;  // sniff prefix, then the HTTP request text
+  bool http_answered = false;  // response queued; later input is dropped
   bool write_armed = false;
 
   // Cross-thread output state, guarded by `mutex`.
@@ -448,6 +449,10 @@ struct Server::Impl {
       return DrainFrames(conn);
     }
     if (conn->http) {
+      // One request per connection: bytes after the request that got its
+      // response (a pipelined request, filler) are discarded, so they can
+      // neither trigger another response nor grow http_buf.
+      if (conn->http_answered) return true;
       conn->http_buf.append(data);
       return ProcessHttp(conn);
     }
@@ -476,6 +481,8 @@ struct Server::Impl {
       conn->out.append(body);
       conn->close_after_flush = true;
     }
+    conn->http_answered = true;
+    std::string().swap(conn->http_buf);
     return true;
   }
 
@@ -782,16 +789,6 @@ struct Server::Impl {
     const Status s = engine->BatchQuery(specs, outs.data(), stats.data());
     metrics.dispatch_latency_us.Record((SteadyNowNanos() - start) / 1000);
     if (s.ok()) {
-      // On error the stats contents are unspecified; only sum a
-      // successful wave's counters.
-      uint64_t hits = 0, gallops = 0;
-      for (const QueryStats& st : stats) {
-        hits += st.slot0_cache_hits;
-        gallops += st.slot0_gallop_resumes;
-      }
-      metrics.slot0_cache_hits.fetch_add(hits, std::memory_order_relaxed);
-      metrics.slot0_gallop_resumes.fetch_add(gallops,
-                                             std::memory_order_relaxed);
       for (size_t i = 0; i < wave.size(); ++i) {
         QueryResponse resp;
         resp.request_id = wave[i].request_id;

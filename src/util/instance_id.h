@@ -1,6 +1,6 @@
 // Process-unique instance ids for cache-identity checks: scratch objects
-// that memoize derived state about an index (probe-range caches, tuning
-// memos) must not trust a raw pointer to identify their owner — a
+// that memoize derived state about an index (the dynamic engine's
+// per-context delta state) must not trust a raw pointer to identify their owner — a
 // destroyed object's address can be reused (ABA), silently serving stale
 // entries. A monotonically increasing 64-bit id never repeats within a
 // process. Objects copy their id on move; a moved-from index is left

@@ -302,37 +302,6 @@ TEST(LshEnsembleTest, StatsReportProbedAndPruned) {
   EXPECT_LE(stats.partitions_filter_skipped, stats.partitions_probed);
 }
 
-TEST(LshEnsembleTest, SlotZeroCountersReachQueryStats) {
-  const Corpus corpus = SmallCorpus(600, 23);
-  auto family = Family();
-  auto ensemble = BuildEnsemble(corpus, LshEnsembleOptions{}, family);
-  ASSERT_TRUE(ensemble.ok());
-
-  // A self-query finds its own slot-0 runs in every tree of its home
-  // partition, so the per-query counters must be visible through stats for
-  // a single query...
-  const Domain& domain = corpus.domain(50);
-  auto sketch = MinHash::FromValues(family, domain.values);
-  QueryStats stats;
-  std::vector<uint64_t> out;
-  ASSERT_TRUE(
-      ensemble->Query(sketch, domain.size(), 0.5, &out, &stats).ok());
-  EXPECT_GT(stats.slot0_cache_hits + stats.slot0_gallop_resumes, 0u);
-
-  // ...and for each query of a batch.
-  const std::vector<QuerySpec> specs(3,
-                                     QuerySpec{&sketch, domain.size(), 0.5});
-  QueryContext ctx;
-  std::vector<std::vector<uint64_t>> outs(specs.size());
-  std::vector<QueryStats> batch_stats(specs.size());
-  ASSERT_TRUE(ensemble
-                  ->BatchQuery(specs, &ctx, outs.data(), batch_stats.data())
-                  .ok());
-  for (const QueryStats& st : batch_stats) {
-    EXPECT_GT(st.slot0_cache_hits + st.slot0_gallop_resumes, 0u);
-  }
-}
-
 TEST(LshEnsembleTest, EstimatedQuerySizeCloseToExact) {
   const Corpus corpus = SmallCorpus(800, 9);
   auto family = Family();
@@ -578,7 +547,7 @@ TEST(LshEnsembleTest, BatchQueryMatchesSingleQueries) {
 }
 
 // A QueryContext is documented as bound to no particular ensemble: its
-// internal probe-range memos must not leak answers from one index into
+// internal scratch must not leak answers from one index into
 // another — even for indexes with the same partition count queried with
 // identical (q, t*), and even when a dead index's heap address is reused.
 TEST(LshEnsembleTest, QueryContextReusableAcrossEnsembles) {
@@ -624,7 +593,7 @@ TEST(LshEnsembleTest, QueryContextReusableAcrossEnsembles) {
   EXPECT_EQ(shared_stats.partitions_probed, fresh_stats.partitions_probed);
   EXPECT_EQ(shared_stats.partitions_pruned, fresh_stats.partitions_pruned);
 
-  // Destroy-and-rebuild while the context lives: stale probe-range memos
+  // Destroy-and-rebuild while the context lives: stale scratch state
   // must not survive into the replacement index.
   auto replacement = BuildEnsemble(big_corpus, options, family);
   ASSERT_TRUE(replacement.ok());

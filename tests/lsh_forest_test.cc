@@ -300,7 +300,7 @@ TEST(LshForestTest, SharedScratchMatchesFreshScratch) {
 }
 
 // Probing the same forest thousands of times with one scratch exercises
-// cache fills, hits, and (tree, key) slot collisions.
+// epoch-stamped dedup across many probes.
 TEST(LshForestTest, RepeatedProbesWithWarmScratchStayCorrect) {
   auto family = Family(256);
   Rng rng(35);
@@ -323,12 +323,9 @@ TEST(LshForestTest, RepeatedProbesWithWarmScratchStayCorrect) {
   }
 }
 
-// Forests above the run-index size cap take the descent path, where the
-// scratch's range cache and per-tree memo engage from the second
-// consecutive probe on.
-LshForest BigForest(const std::shared_ptr<const HashFamily>& family,
-                    Rng& rng, size_t n) {
-  auto forest = LshForest::Create(8, 2).value();
+LshForest RandomForest(const std::shared_ptr<const HashFamily>& family,
+                       Rng& rng, size_t n) {
+  auto forest = LshForest::Create(8, 4).value();
   for (uint64_t id = 0; id < n; ++id) {
     EXPECT_TRUE(forest.Add(id, RandomSketch(family, rng, 5)).ok());
   }
@@ -336,87 +333,34 @@ LshForest BigForest(const std::shared_ptr<const HashFamily>& family,
   return forest;
 }
 
-TEST(LshForestTest, ScratchReleasesMemoCachesWhenStreakResets) {
-  auto family = Family(16);
+// A warm scratch never allocates again: its buffers are sized to the
+// forest's (num_trees, tree_depth), so probes with any (b, r), over any
+// forest no larger than the one that warmed it, reuse them as they are.
+TEST(LshForestTest, WarmScratchNeverGrows) {
+  auto family = Family(32);
   Rng rng(91);
-  // Large enough that probes descend (and so allocate the memo caches).
-  LshForest big = BigForest(family, rng, 5000);
-  auto small_a = LshForest::Create(8, 2).value();
-  auto small_b = LshForest::Create(8, 2).value();
-  for (uint64_t id = 0; id < 10; ++id) {
-    ASSERT_TRUE(small_a.Add(id, RandomSketch(family, rng, 5)).ok());
-    ASSERT_TRUE(small_b.Add(id, RandomSketch(family, rng, 5)).ok());
+  std::vector<LshForest> forests;
+  for (size_t n : {1, 100, 5000}) {
+    forests.push_back(RandomForest(family, rng, n));
   }
-  small_a.Index();
-  small_b.Index();
+  std::vector<MinHash> queries;
+  for (int i = 0; i < 16; ++i) queries.push_back(RandomSketch(family, rng, 5));
 
   LshForest::ProbeScratch scratch;
-  const MinHash query = RandomSketch(family, rng, 5);
   std::vector<uint64_t> out;
-  ASSERT_TRUE(big.Probe(query, 8, 2, &scratch, &out).ok());
-  const size_t before_engage = scratch.MemoryBytes();
-  out.clear();
-  ASSERT_TRUE(big.Probe(query, 8, 2, &scratch, &out).ok());
-  const size_t engaged = scratch.MemoryBytes();
-  EXPECT_GT(engaged, before_engage);  // cache + memo were allocated
-
-  // One probe of a different forest keeps the caches (the batched
-  // partition-cycling pattern returns to the big forest)...
-  out.clear();
-  ASSERT_TRUE(small_a.Probe(query, 8, 2, &scratch, &out).ok());
-  EXPECT_EQ(scratch.MemoryBytes(), engaged);
-
-  // ...but a second owner change without the memos re-engaging releases
-  // them: the scratch left the cycling pattern and must not pin the
-  // stale memo memory.
-  out.clear();
-  ASSERT_TRUE(small_b.Probe(query, 8, 2, &scratch, &out).ok());
-  EXPECT_LT(scratch.MemoryBytes(), engaged);
-
-  // The released scratch still answers correctly and can re-engage.
-  for (int round = 0; round < 3; ++round) {
-    std::vector<uint64_t> expected, actual;
-    ASSERT_TRUE(big.Query(query, 8, 2, &expected).ok());
-    ASSERT_TRUE(big.Probe(query, 8, 2, &scratch, &actual).ok());
-    EXPECT_EQ(actual, expected);
-  }
-}
-
-TEST(LshForestTest, SlotZeroCountersAdvance) {
-  auto family = Family(16);
-  Rng rng(92);
-
-  // Small forest: the run index answers every tree of a self-probe
-  // without a descent, one cache hit per tree.
-  auto small = LshForest::Create(8, 2).value();
-  std::vector<MinHash> sketches;
-  for (uint64_t id = 0; id < 50; ++id) {
-    sketches.push_back(RandomSketch(family, rng, 5));
-    ASSERT_TRUE(small.Add(id, sketches.back()).ok());
-  }
-  small.Index();
-  LshForest::ProbeScratch scratch;
-  std::vector<uint64_t> out;
-  ASSERT_TRUE(small.Probe(sketches[0], 8, 2, &scratch, &out).ok());
-  EXPECT_EQ(scratch.slot0_cache_hits(), 8u);
-  EXPECT_EQ(scratch.slot0_gallop_resumes(), 0u);
-
-  // Big forest, repeated probes: the third identical probe is answered
-  // from the engaged range cache, and alternating with a second query
-  // makes descents gallop from the per-tree memo.
-  LshForest big = BigForest(family, rng, 5000);
-  LshForest::ProbeScratch warm;
-  const MinHash q1 = RandomSketch(family, rng, 5);
-  const MinHash q2 = RandomSketch(family, rng, 5);
-  for (int i = 0; i < 3; ++i) {
+  ASSERT_TRUE(forests.back().Probe(queries[0], 8, 4, &scratch, &out).ok());
+  const size_t warm = scratch.MemoryBytes();
+  EXPECT_GT(warm, 0u);
+  for (int i = 0; i < 1200; ++i) {
+    const int b = 1 + i % 8;
+    const int r = 1 + (i / 8) % 4;
     out.clear();
-    ASSERT_TRUE(big.Probe(q1, 8, 2, &warm, &out).ok());
+    ASSERT_TRUE(forests[i % forests.size()]
+                    .Probe(queries[i % queries.size()], b, r, &scratch, &out)
+                    .ok());
+    ASSERT_EQ(scratch.MemoryBytes(), warm)
+        << "probe " << i << " (b=" << b << ", r=" << r << ")";
   }
-  EXPECT_GT(warm.slot0_cache_hits(), 0u);
-  const uint64_t gallops_before = warm.slot0_gallop_resumes();
-  out.clear();
-  ASSERT_TRUE(big.Probe(q2, 8, 2, &warm, &out).ok());
-  EXPECT_GT(warm.slot0_gallop_resumes(), gallops_before);
 }
 
 }  // namespace
