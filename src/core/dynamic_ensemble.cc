@@ -6,7 +6,6 @@
 #include "core/threshold.h"
 #include "minhash/hash_kernel.h"
 #include "util/clock.h"
-#include "util/instance_id.h"
 #include "util/thread_pool.h"
 
 namespace lshensemble {
@@ -29,9 +28,7 @@ Result<DynamicLshEnsemble> DynamicLshEnsemble::Create(
     return Status::InvalidArgument(
         "options.base.num_hashes does not match the hash family");
   }
-  DynamicLshEnsemble index(std::move(options), std::move(family));
-  index.instance_id_ = NextInstanceId();
-  return index;
+  return DynamicLshEnsemble(std::move(options), std::move(family));
 }
 
 Status DynamicLshEnsemble::Insert(uint64_t id, size_t size,
@@ -48,13 +45,20 @@ Status DynamicLshEnsemble::Insert(uint64_t id, size_t size,
   }
   // A re-insert after Remove(): the stale indexed entry stays tombstoned;
   // the new version is authoritative in the delta until the next rebuild.
-  records_.emplace(id, Record{size, std::move(signature)});
-  delta_.push_back(id);
-  ++mutation_epoch_;
+  AppendDelta(id, size, std::move(signature));
   if (ShouldRebuild()) {
     return Flush();
   }
   return Status::OK();
+}
+
+void DynamicLshEnsemble::AppendDelta(uint64_t id, size_t size,
+                                     MinHash signature) {
+  const auto it =
+      records_.emplace(id, Record{size, std::move(signature)}).first;
+  delta_.push_back(id);
+  delta_sizes_.push_back(size);
+  delta_rows_.push_back(it->second.signature.values().data());
 }
 
 Status DynamicLshEnsemble::Insert(uint64_t id,
@@ -75,16 +79,18 @@ Status DynamicLshEnsemble::Remove(uint64_t id) {
     if (MappedLive(id)) {
       tombstones_.insert(id);
       ++mapped_removed_;
-      ++mutation_epoch_;
       return Status::OK();
     }
     return Status::NotFound("id is not live");
   }
   records_.erase(it);
-  ++mutation_epoch_;
   const auto delta_it = std::find(delta_.begin(), delta_.end(), id);
   if (delta_it != delta_.end()) {
+    // Erase in place so the survivors keep their delta (scan) order.
+    const auto pos = delta_it - delta_.begin();
     delta_.erase(delta_it);
+    delta_sizes_.erase(delta_sizes_.begin() + pos);
+    delta_rows_.erase(delta_rows_.begin() + pos);
     // If the id was ALSO indexed (re-insert after Remove), the tombstone
     // from the earlier Remove is still in place; nothing more to do.
   } else {
@@ -213,34 +219,6 @@ Status DynamicLshEnsemble::BatchQuery(std::span<const QuerySpec> specs,
   const size_t num_delta = delta_.size();
   const bool prune = options_.base.prune_unreachable_partitions;
 
-  const bool flatten_hit = ctx->dynamic_delta_valid_ &&
-                           ctx->dynamic_delta_index_id_ == instance_id_ &&
-                           ctx->dynamic_delta_epoch_ == mutation_epoch_;
-  if (!flatten_hit && count == 1) {
-    // One-shot path (cold cache, single query): scan the records in
-    // place — flattening would copy more bytes than the scan reads.
-    const uint64_t* query_sig = specs[0].query->values().data();
-    const double q = ctx->dynamic_q_[0];
-    for (uint64_t id : delta_) {
-      const Record& record = records_.at(id);
-      const auto x = static_cast<double>(record.size);
-      if (prune && x + 1e-9 < specs[0].t_star * q) continue;
-      const double s_star =
-          ContainmentToJaccardHoisted(specs[0].t_star, x / q);
-      const size_t collisions = kernel.count_collisions(
-          query_sig, record.signature.values().data(), num_hashes);
-      if (static_cast<double>(collisions) / m + 1e-12 >= s_star) {
-        outs[0].push_back(id);
-      }
-    }
-    return Status::OK();
-  }
-
-  // Flatten the records (sizes + a contiguous signature arena, in delta
-  // order) so the hot loop walks dense arrays instead of chasing the hash
-  // map. Cached in the context, keyed on (instance id, mutation epoch):
-  // consecutive batches and top-k descent rounds against an unchanged
-  // index skip this entirely.
   // Records in the outer loop, queries inner, tiled: a block of record
   // signatures small enough to stay cache-resident (~128 KiB) is scored
   // against every query of the chunk before the next block is touched, so
@@ -248,43 +226,23 @@ Status DynamicLshEnsemble::BatchQuery(std::span<const QuerySpec> specs,
   // record. One batch-compare kernel call scores the whole block against a
   // query (families were checked above, so the kernel works on raw slot
   // arrays and reproduces exactly the count EstimateJaccard uses). Per
-  // query, records are still visited in delta order.
+  // query, records are still visited in delta order. A single query is a
+  // chunk of one.
   constexpr size_t kMaxBlock = 512;
   const size_t block_records = std::min(
       kMaxBlock,
       std::max<size_t>(1, (static_cast<size_t>(128) << 10) /
                               (num_hashes * sizeof(uint64_t))));
-  if (!flatten_hit) {
-    ctx->dynamic_delta_valid_ = false;
-    ctx->dynamic_delta_x_.resize(num_delta);
-    ctx->dynamic_delta_arena_.resize(num_delta * num_hashes);
-    // Per-block size maxima for the admission bound: a whole block's
-    // kernel call is skipped when even its largest record cannot reach a
-    // query's threshold (the per-record rule applied wholesale).
-    ctx->dynamic_delta_block_max_.assign(
-        (num_delta + block_records - 1) / block_records, 0.0);
-    for (size_t r = 0; r < num_delta; ++r) {
-      const Record& record = records_.at(delta_[r]);
-      const auto x = static_cast<double>(record.size);
-      ctx->dynamic_delta_x_[r] = x;
-      double& block_max = ctx->dynamic_delta_block_max_[r / block_records];
-      block_max = std::max(block_max, x);
-      std::copy(record.signature.values().begin(),
-                record.signature.values().end(),
-                ctx->dynamic_delta_arena_.begin() + r * num_hashes);
-    }
-    ctx->dynamic_delta_index_id_ = instance_id_;
-    ctx->dynamic_delta_epoch_ = mutation_epoch_;
-    ctx->dynamic_delta_valid_ = true;
-  }
   auto scan_queries = [&](size_t query_begin, size_t query_end) {
     uint32_t counts[kMaxBlock];
     for (size_t base = 0; base < num_delta; base += block_records) {
       const size_t block_len = std::min(block_records, num_delta - base);
-      const double block_max =
-          ctx->dynamic_delta_block_max_[base / block_records];
-      const uint64_t* block_sigs =
-          ctx->dynamic_delta_arena_.data() + base * num_hashes;
+      const uint64_t* block_sizes = delta_sizes_.data() + base;
+      const uint64_t* const* block_sigs = delta_rows_.data() + base;
+      // The admission bound applied wholesale: a block's kernel call is
+      // skipped when even its largest record cannot reach the threshold.
+      const auto block_max = static_cast<double>(
+          *std::max_element(block_sizes, block_sizes + block_len));
       for (size_t i = query_begin; i < query_end; ++i) {
         const double q = ctx->dynamic_q_[i];
         const double t_star = specs[i].t_star;
@@ -294,7 +252,7 @@ Status DynamicLshEnsemble::BatchQuery(std::span<const QuerySpec> specs,
                                      counts);
         std::vector<uint64_t>& out = outs[i];
         for (size_t r = 0; r < block_len; ++r) {
-          const double x = ctx->dynamic_delta_x_[base + r];
+          const auto x = static_cast<double>(block_sizes[r]);
           if (prune && x + 1e-9 < t_star * q) continue;
           const double s_star = ContainmentToJaccardHoisted(t_star, x / q);
           if (static_cast<double>(counts[r]) / m + 1e-12 >= s_star) {
@@ -388,22 +346,20 @@ Status DynamicLshEnsemble::Rebuild(const LshEnsembleOptions& build_options) {
     // Nothing live: drop the ensemble entirely.
     ensemble_.reset();
     indexed_count_ = 0;
-    delta_.clear();
-    tombstones_.clear();
-    ++mutation_epoch_;
-    return Status::OK();
+  } else {
+    LshEnsembleBuilder builder(build_options, family_);
+    for (const auto& [id, record] : records_) {
+      LSHE_RETURN_IF_ERROR(builder.Add(id, record.size, record.signature));
+    }
+    auto built = std::move(builder).Build();
+    if (!built.ok()) return built.status();
+    ensemble_.emplace(std::move(built).value());
+    indexed_count_ = records_.size();
   }
-  LshEnsembleBuilder builder(build_options, family_);
-  for (const auto& [id, record] : records_) {
-    LSHE_RETURN_IF_ERROR(builder.Add(id, record.size, record.signature));
-  }
-  auto built = std::move(builder).Build();
-  if (!built.ok()) return built.status();
-  ensemble_.emplace(std::move(built).value());
-  indexed_count_ = records_.size();
   delta_.clear();
+  delta_sizes_.clear();
+  delta_rows_.clear();
   tombstones_.clear();
-  ++mutation_epoch_;
   return Status::OK();
 }
 

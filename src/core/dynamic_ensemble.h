@@ -215,6 +215,9 @@ class DynamicLshEnsemble {
     size_t m = 0;
   };
 
+  /// Add a validated record to records_ and to the end of the delta
+  /// arrays (Insert and the snapshot restore).
+  void AppendDelta(uint64_t id, size_t size, MinHash signature);
   bool ShouldRebuild() const;
   /// Rebuild over all live records with `build_options` (Flush plumbing).
   Status Rebuild(const LshEnsembleOptions& build_options);
@@ -231,8 +234,15 @@ class DynamicLshEnsemble {
 
   // All live domains (authoritative copy used for rebuilds).
   std::unordered_map<uint64_t, Record> records_;
-  // Ids inserted since the last rebuild (subset of records_).
+  // The delta: records inserted since the last rebuild (a subset of
+  // records_), as ids, exact sizes and signature rows, all in delta order.
+  // The delta scan reads these arrays directly. A row points at the
+  // record's num_hashes slots inside its records_ entry, which stays put
+  // until the record is removed (map nodes never move), so each delta
+  // signature is stored once.
   std::vector<uint64_t> delta_;
+  std::vector<uint64_t> delta_sizes_;
+  std::vector<const uint64_t*> delta_rows_;
   // Ids removed (or replaced) since the last rebuild but still present in
   // the built ensemble.
   std::unordered_set<uint64_t> tombstones_;
@@ -247,14 +257,6 @@ class DynamicLshEnsemble {
   MappedSideCar mapped_;
   size_t mapped_removed_ = 0;
   std::shared_ptr<const void> mapped_backing_;
-
-  /// Process-unique identity + mutation counter: together they key the
-  /// QueryContext's flattened-delta cache, so consecutive batches (and
-  /// top-k descent rounds) against an unchanged index skip re-flattening
-  /// the delta. Copied by moves; a moved-from index has an empty delta,
-  /// so its aliased id is inert (same convention as LshEnsemble).
-  uint64_t instance_id_ = 0;
-  uint64_t mutation_epoch_ = 0;
 };
 
 }  // namespace lshensemble

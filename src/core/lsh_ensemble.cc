@@ -101,9 +101,6 @@ size_t QueryContext::MemoryBytes() const {
   bytes += statuses_.capacity() * sizeof(Status);
   bytes += dynamic_q_.capacity() * sizeof(double);
   bytes += dynamic_specs_.capacity() * sizeof(QuerySpec);
-  bytes += dynamic_delta_x_.capacity() * sizeof(double);
-  bytes += dynamic_delta_arena_.capacity() * sizeof(uint64_t);
-  bytes += dynamic_delta_block_max_.capacity() * sizeof(double);
   for (const auto& staged : dynamic_outs_) {
     bytes += sizeof(staged) + staged.capacity() * sizeof(uint64_t);
   }

@@ -156,15 +156,16 @@ struct QuerySpec {
 
 class LshEnsemble;
 
-/// \brief Reusable query-path scratch: probe memos, staged filter keys and
-/// per-chunk buffers, pooled in per-worker shards so one context serves a
-/// whole BatchQuery() fan-out.
+/// \brief Reusable query-path scratch: probe buffers, staged filter keys
+/// and per-chunk buffers, pooled in per-worker shards so one context serves
+/// a whole BatchQuery() fan-out.
 ///
-/// A context is bound to no particular ensemble — buffers grow to the
-/// largest index seen and are reused verbatim afterwards, so steady-state
-/// queries allocate nothing. One context must not be shared by concurrent
-/// BatchQuery() calls; give each calling thread its own (the shard pool
-/// only serves the internal across-query parallelism of a single call).
+/// A context holds no index state and is bound to no particular ensemble —
+/// buffers grow to the largest index seen and are reused verbatim
+/// afterwards, so steady-state queries allocate nothing. One context must
+/// not be shared by concurrent BatchQuery() calls; give each calling thread
+/// its own (the shard pool only serves the internal across-query
+/// parallelism of a single call).
 class QueryContext {
  public:
   QueryContext() = default;
@@ -214,20 +215,6 @@ class QueryContext {
   std::vector<double> dynamic_q_;
   std::vector<QuerySpec> dynamic_specs_;
   std::vector<std::vector<uint64_t>> dynamic_outs_;
-  // Flattened view of the delta buffer (sizes + a contiguous signature
-  // arena in delta order) so the scan's hot loop walks dense arrays with
-  // the kernel's batch compare instead of chasing the record hash map.
-  // Cached across calls, keyed on the index's (instance id, mutation
-  // epoch): consecutive batches and top-k descent rounds against an
-  // unchanged index reuse it verbatim.
-  std::vector<double> dynamic_delta_x_;
-  std::vector<uint64_t> dynamic_delta_arena_;
-  // Per-block maxima of dynamic_delta_x_ (the scan's tile grid): lets the
-  // size-based admission bound skip a whole block's collision-count call.
-  std::vector<double> dynamic_delta_block_max_;
-  uint64_t dynamic_delta_index_id_ = 0;
-  uint64_t dynamic_delta_epoch_ = 0;
-  bool dynamic_delta_valid_ = false;
 };
 
 /// \brief The partition layout `options` selects for `sorted_sizes`

@@ -36,10 +36,9 @@
 //    best estimate of the cross-shard merge, so the ranked output is
 //    identical to the unsharded TopKSearcher.
 //
-// Per-shard scratch (QueryContext + gather staging) is pooled per shard,
-// never shared across shards: a context's probe memos and flattened-delta
-// cache are keyed on one index's identity, so pinning scratch to its shard
-// keeps those caches hot across calls and descent rounds.
+// Per-shard scratch (QueryContext + gather staging) is pooled per shard
+// only so concurrent calls get separate scratch; a context holds no index
+// state.
 //
 // Threading contract: Insert/Remove/Flush are safe concurrently with
 // BatchQuery (per-shard locks); concurrent mutators are serialized per
@@ -319,8 +318,8 @@ class ShardedEnsemble {
     DynamicLshEnsemble engine;
     /// Guards `engine` (shared for queries, exclusive for mutation).
     mutable std::shared_mutex mutex;
-    /// Pooled per-call scratch, pinned to this shard so each context's
-    /// probe memos and delta cache stay keyed to this shard's engine.
+    /// Pooled per-call scratch: pooled only so concurrent calls get
+    /// separate scratch.
     struct Scratch {
       QueryContext ctx;
       std::vector<std::vector<uint64_t>> outs;  // gather staging

@@ -9,7 +9,6 @@
 #include "filter/probe_filter.h"
 #include "io/coding.h"
 #include "io/crc32c.h"
-#include "util/instance_id.h"
 
 namespace lshensemble {
 
@@ -792,7 +791,6 @@ class SnapshotIO {
                                       snapshot->options_.num_hashes,
                                       snapshot->seed_));
     DynamicLshEnsemble index(options, family);
-    index.instance_id_ = NextInstanceId();
 
     const auto m = static_cast<size_t>(snapshot->options_.num_hashes);
     const auto indexed_ids =
@@ -866,11 +864,8 @@ class SnapshotIO {
       if (!signature.ok()) {
         return Status::Corruption("snapshot: invalid delta signature slot");
       }
-      index.records_.emplace(
-          id, DynamicLshEnsemble::Record{
-                  static_cast<size_t>(delta_sizes[i]),
-                  std::move(signature).value()});
-      index.delta_.push_back(id);
+      index.AppendDelta(id, static_cast<size_t>(delta_sizes[i]),
+                        std::move(signature).value());
     }
 
     index.mapped_backing_ = std::move(snapshot);

@@ -79,11 +79,12 @@ size_t ScalarCountCollisions(const uint64_t* a, const uint64_t* b, size_t m) {
   return collisions;
 }
 
-void ScalarCountCollisionsMany(const uint64_t* query, const uint64_t* sigs,
-                               size_t m, size_t n, uint32_t* out_counts) {
+void ScalarCountCollisionsMany(const uint64_t* query,
+                               const uint64_t* const* sigs, size_t m,
+                               size_t n, uint32_t* out_counts) {
   for (size_t j = 0; j < n; ++j) {
     out_counts[j] =
-        static_cast<uint32_t>(ScalarCountCollisions(query, sigs + j * m, m));
+        static_cast<uint32_t>(ScalarCountCollisions(query, sigs[j], m));
   }
 }
 
@@ -536,16 +537,17 @@ LSHE_TARGET_AVX512 size_t Avx512CountCollisions(const uint64_t* a,
 }
 
 /// Record pairs share each query-vector load and its not-empty mask, so
-/// the arena walk is load/compare/popcount bound.
+/// the record walk is load/compare/popcount bound.
 LSHE_TARGET_AVX2 void Avx2CountCollisionsMany(const uint64_t* query,
-                                              const uint64_t* sigs, size_t m,
-                                              size_t n, uint32_t* out_counts) {
+                                              const uint64_t* const* sigs,
+                                              size_t m, size_t n,
+                                              uint32_t* out_counts) {
   const __m256i empty =
       _mm256_set1_epi64x(static_cast<long long>(kMersennePrime61));
   size_t j = 0;
   for (; j + 2 <= n; j += 2) {
-    const uint64_t* b0 = sigs + j * m;
-    const uint64_t* b1 = b0 + m;
+    const uint64_t* b0 = sigs[j];
+    const uint64_t* b1 = sigs[j + 1];
     uint32_t c0 = 0, c1 = 0;
     size_t i = 0;
     for (; i + 4 <= m; i += 4) {
@@ -578,12 +580,12 @@ LSHE_TARGET_AVX2 void Avx2CountCollisionsMany(const uint64_t* query,
   }
   for (; j < n; ++j) {
     out_counts[j] =
-        static_cast<uint32_t>(Avx2CountCollisions(query, sigs + j * m, m));
+        static_cast<uint32_t>(Avx2CountCollisions(query, sigs[j], m));
   }
 }
 
 LSHE_TARGET_AVX512 void Avx512CountCollisionsMany(const uint64_t* query,
-                                                  const uint64_t* sigs,
+                                                  const uint64_t* const* sigs,
                                                   size_t m, size_t n,
                                                   uint32_t* out_counts) {
   const __m512i empty =
@@ -592,10 +594,10 @@ LSHE_TARGET_AVX512 void Avx512CountCollisionsMany(const uint64_t* query,
   // 4 records per query pass: one query load + not-empty mask serves four
   // compare/popcount chains, keeping the port-5 compares saturated.
   for (; j + 4 <= n; j += 4) {
-    const uint64_t* b0 = sigs + j * m;
-    const uint64_t* b1 = b0 + m;
-    const uint64_t* b2 = b1 + m;
-    const uint64_t* b3 = b2 + m;
+    const uint64_t* b0 = sigs[j];
+    const uint64_t* b1 = sigs[j + 1];
+    const uint64_t* b2 = sigs[j + 2];
+    const uint64_t* b3 = sigs[j + 3];
     uint32_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
     size_t i = 0;
     for (; i + 8 <= m; i += 8) {
@@ -625,7 +627,7 @@ LSHE_TARGET_AVX512 void Avx512CountCollisionsMany(const uint64_t* query,
   }
   for (; j < n; ++j) {
     out_counts[j] =
-        static_cast<uint32_t>(Avx512CountCollisions(query, sigs + j * m, m));
+        static_cast<uint32_t>(Avx512CountCollisions(query, sigs[j], m));
   }
 }
 

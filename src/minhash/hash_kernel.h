@@ -50,13 +50,15 @@ struct HashKernelOps {
   /// is compared against a whole batch of query signatures.
   size_t (*count_collisions)(const uint64_t* a, const uint64_t* b, size_t m);
 
-  /// Batch form: out_counts[j] = count_collisions(query, sigs + j*m, m) for
-  /// j in [0, n), over a contiguous arena of n m-slot signatures. One call
+  /// Batch form: out_counts[j] = count_collisions(query, sigs[j], m) for
+  /// j in [0, n), over n m-slot signatures wherever they live. One call
   /// scores a whole record block against one query — the dynamic delta
-  /// scan's inner loop — amortizing dispatch overhead and letting each
-  /// implementation keep its constants and the query signature hot.
-  void (*count_collisions_many)(const uint64_t* query, const uint64_t* sigs,
-                                size_t m, size_t n, uint32_t* out_counts);
+  /// scan's inner loop, reading each record's signature in place —
+  /// amortizing dispatch overhead and letting each implementation keep its
+  /// constants and the query signature hot.
+  void (*count_collisions_many)(const uint64_t* query,
+                                const uint64_t* const* sigs, size_t m,
+                                size_t n, uint32_t* out_counts);
 
   /// Phase 2 of an LshForest prefix lookup: given the slot-0 match range
   /// [*lo, *hi) of a tree whose full rows (of `depth` u32 keys) start at

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <vector>
 
-#include "baselines/minhash_lsh_baseline.h"
 #include "minhash/minhash.h"
 #include "util/random.h"
 
@@ -180,35 +179,6 @@ TEST(AsymMinhashTest, QueryValidation) {
   EXPECT_FALSE(index->Query(sketch, 3, -0.5, &out).ok());
   EXPECT_FALSE(index->Query(sketch, 3, 0.5, nullptr).ok());
   EXPECT_FALSE(index->Query(MinHash(), 3, 0.5, &out).ok());
-}
-
-TEST(MinHashLshBaselineTest, MirrorsSinglePartitionEnsemble) {
-  auto family = Family();
-  Rng rng(17);
-  LshEnsembleOptions options;
-  options.num_partitions = 32;  // forced to 1 by the wrapper
-  MinHashLshBaseline::Builder builder(options, family);
-  std::vector<std::vector<uint64_t>> all_values;
-  for (uint64_t id = 0; id < 100; ++id) {
-    std::vector<uint64_t> values(20 + rng.NextBounded(200));
-    for (auto& v : values) v = rng.Next();
-    all_values.push_back(values);
-    ASSERT_TRUE(
-        builder.Add(id, values.size(), MinHash::FromValues(family, values))
-            .ok());
-  }
-  auto baseline = std::move(builder).Build();
-  ASSERT_TRUE(baseline.ok());
-  EXPECT_EQ(baseline->inner().partitions().size(), 1u);
-  EXPECT_EQ(baseline->size(), 100u);
-
-  auto query = MinHash::FromValues(family, all_values[7]);
-  std::vector<uint64_t> out;
-  QueryStats stats;
-  ASSERT_TRUE(
-      baseline->Query(query, all_values[7].size(), 0.9, &out, &stats).ok());
-  EXPECT_NE(std::find(out.begin(), out.end(), 7ULL), out.end());
-  EXPECT_EQ(stats.partitions_probed, 1u);
 }
 
 }  // namespace

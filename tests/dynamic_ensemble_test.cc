@@ -631,6 +631,152 @@ TEST_F(DynamicBatchQueryTest, WarmContextStopsGrowing) {
   EXPECT_EQ(ctx.MemoryBytes(), warm_bytes);
 }
 
+// A context holds no index state: once warm, it keeps its size while the
+// delta it scans grows.
+TEST_F(DynamicBatchQueryTest, WarmContextIgnoresDeltaGrowth) {
+  BuildMixedIndex(/*parallel_query=*/false);
+  std::vector<size_t> query_indices;
+  for (size_t qi = 0; qi < 240; qi += 15) query_indices.push_back(qi);
+  std::vector<MinHash> sketches;
+  for (size_t qi : query_indices) sketches.push_back(Sketch(qi));
+  std::vector<QuerySpec> specs;
+  for (size_t i = 0; i < query_indices.size(); ++i) {
+    specs.push_back(QuerySpec{
+        &sketches[i], corpus_->domain(query_indices[i]).size(), 0.5});
+  }
+  QueryContext ctx;
+  std::vector<std::vector<uint64_t>> outs(specs.size());
+  for (int rep = 0; rep < 8; ++rep) {
+    ASSERT_TRUE(index_->BatchQuery(specs, &ctx, outs.data()).ok());
+  }
+  const size_t warm_bytes = ctx.MemoryBytes();
+  const size_t delta_before = index_->delta_size();
+  for (size_t i = 240; i < 440; ++i) {
+    ASSERT_TRUE(InsertDomain(*index_, i).ok());
+  }
+  ASSERT_EQ(index_->delta_size(), delta_before + 200);
+  for (int rep = 0; rep < 5; ++rep) {
+    ASSERT_TRUE(index_->BatchQuery(specs, &ctx, outs.data()).ok());
+    EXPECT_EQ(ctx.MemoryBytes(), warm_bytes) << "batch " << rep;
+  }
+}
+
+// The dynamic counterpart of
+// LshEnsembleTest.QueryContextReusableAcrossEnsembles: one context
+// alternates between two engines while they mutate (insert, remove from
+// the middle of the delta, re-insert, tombstone) and after one is
+// destroyed and replaced at the same address. Every answer, single or
+// batched, equals a fresh context's and the per-record reference.
+TEST_F(DynamicBatchQueryTest, ContextReusableAcrossEnginesAndMutations) {
+  DynamicEnsembleOptions options = SmallOptions();
+  options.min_delta_for_rebuild = 100000;  // mutations stay in the delta
+  // An engine plus what the test knows of its state: the tombstoned ids
+  // and the delta ids in scan order.
+  struct Engine {
+    std::optional<DynamicLshEnsemble> index;
+    std::unordered_set<uint64_t> tombstoned;
+    std::vector<uint64_t> delta;
+  };
+  // Domains [first, first + 100) indexed, [first + 100, first + 150) in
+  // the delta.
+  auto make = [&](size_t first) {
+    Engine engine;
+    engine.index.emplace(DynamicLshEnsemble::Create(options, family_).value());
+    for (size_t i = first; i < first + 150; ++i) {
+      EXPECT_TRUE(InsertDomain(*engine.index, i).ok());
+      if (i == first + 99) {
+        EXPECT_TRUE(engine.index->Flush().ok());
+      } else if (i > first + 99) {
+        engine.delta.push_back(corpus_->domain(i).id);
+      }
+    }
+    return engine;
+  };
+  // Indexed candidates minus tombstones, then the delta in scan order
+  // under the admission bound and the EstimateJaccard rule.
+  auto reference = [&](const Engine& engine, const QuerySpec& spec) {
+    std::vector<uint64_t> out;
+    std::vector<uint64_t> indexed;
+    EXPECT_TRUE(engine.index->indexed()
+                    ->Query(*spec.query, spec.query_size, spec.t_star,
+                            &indexed)
+                    .ok());
+    for (uint64_t id : indexed) {
+      if (engine.tombstoned.count(id) == 0) out.push_back(id);
+    }
+    const auto q = static_cast<double>(spec.query_size);
+    for (uint64_t id : engine.delta) {
+      const auto x = static_cast<double>(engine.index->SizeOf(id));
+      if (x + 1e-9 < spec.t_star * q) continue;
+      const double s_star = ContainmentToJaccard(spec.t_star, x, q);
+      const double jaccard =
+          spec.query->EstimateJaccard(*engine.index->SignatureOf(id)).value();
+      if (jaccard + 1e-12 >= s_star) out.push_back(id);
+    }
+    return out;
+  };
+
+  const size_t query_indices[] = {3, 60, 110, 140, 160, 250, 303, 360, 410,
+                                  445};
+  std::vector<MinHash> sketches;
+  for (size_t qi : query_indices) sketches.push_back(Sketch(qi));
+  std::vector<QuerySpec> specs;
+  for (size_t i = 0; i < sketches.size(); ++i) {
+    specs.push_back(QuerySpec{&sketches[i],
+                              corpus_->domain(query_indices[i]).size(),
+                              0.3 + 0.25 * static_cast<double>(i % 3)});
+  }
+
+  QueryContext ctx;
+  auto check = [&](const Engine& engine, const char* step) {
+    std::vector<std::vector<uint64_t>> outs(specs.size());
+    std::vector<std::vector<uint64_t>> fresh_outs(specs.size());
+    ASSERT_TRUE(engine.index->BatchQuery(specs, &ctx, outs.data()).ok());
+    QueryContext fresh;
+    ASSERT_TRUE(
+        engine.index->BatchQuery(specs, &fresh, fresh_outs.data()).ok());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      const std::vector<uint64_t> expected = reference(engine, specs[i]);
+      EXPECT_EQ(outs[i], fresh_outs[i]) << step << ", query " << i;
+      EXPECT_EQ(outs[i], expected) << step << ", query " << i;
+      std::vector<uint64_t> single;
+      ASSERT_TRUE(engine.index
+                      ->Query(*specs[i].query, specs[i].query_size,
+                              specs[i].t_star, &ctx, &single)
+                      .ok());
+      EXPECT_EQ(single, expected) << step << ", single query " << i;
+    }
+  };
+
+  Engine a = make(0);
+  Engine b = make(300);
+  check(a, "a");
+  check(b, "b");
+
+  ASSERT_TRUE(InsertDomain(*a.index, 200).ok());
+  a.delta.push_back(corpus_->domain(200).id);
+  ASSERT_TRUE(a.index->Remove(corpus_->domain(3).id).ok());
+  a.tombstoned.insert(corpus_->domain(3).id);
+  check(a, "a after insert + tombstone");
+  check(b, "b after a's mutations");
+
+  const uint64_t victim = corpus_->domain(425).id;  // mid-delta of b
+  ASSERT_TRUE(b.index->Remove(victim).ok());
+  b.delta.erase(std::find(b.delta.begin(), b.delta.end(), victim));
+  check(b, "b after mid-delta remove");
+  check(a, "a after b's remove");
+
+  ASSERT_TRUE(InsertDomain(*b.index, 425).ok());  // back at the delta's end
+  b.delta.push_back(victim);
+  check(b, "b after re-insert");
+  check(a, "a after b's re-insert");
+
+  a.index.reset();  // destroyed; the replacement reuses its storage
+  a = make(150);
+  check(a, "a replaced");
+  check(b, "b after a's replacement");
+}
+
 TEST_F(DynamicEnsembleTest, InsertFromRawValues) {
   auto index = DynamicLshEnsemble::Create(SmallOptions(), family_).value();
   const Domain& domain = corpus_->domain(4);
@@ -682,7 +828,7 @@ TEST_F(DynamicEnsembleTest, DeltaAdmissionBoundSkipsUnreachableSizes) {
     std::vector<uint64_t> out_pruned, out_unpruned;
     QueryContext ctx_a, ctx_b;
     if (batched) {
-      // A batch of two distinct specs takes the tiled scan path.
+      // A batch of two distinct specs: the bound applies per query.
       const QuerySpec specs[2] = {QuerySpec{&query, q, t_star},
                                   QuerySpec{&query, q, t_star / 2}};
       std::vector<uint64_t> outs_a[2], outs_b[2];

@@ -108,8 +108,9 @@ TEST(HashKernelTest, CountCollisionsParityAcrossKernels) {
 }
 
 TEST(HashKernelTest, CountCollisionsManyMatchesSingle) {
-  // The arena form must agree with per-pair counts for every kernel, at
-  // odd arena lengths (the record-pair unroll has a tail) and odd m.
+  // The batch form must agree with per-pair counts for every kernel, at
+  // odd batch lengths (the record-pair unroll has a tail) and odd m, with
+  // the rows taken out of order.
   for (const int m : {1, 4, 7, 8, 16, 128, 250, 256}) {
     Rng rng(m * 997 + 3);
     std::vector<uint64_t> query(m);
@@ -127,16 +128,18 @@ TEST(HashKernelTest, CountCollisionsManyMatchesSingle) {
                                  : rng.Next() % kMersennePrime61;
         }
       }
+      std::vector<const uint64_t*> rows(n);
       std::vector<uint32_t> expected(n);
       for (size_t j = 0; j < n; ++j) {
-        expected[j] = static_cast<uint32_t>(ScalarKernelOps().count_collisions(
-            query.data(), arena.data() + j * m, m));
+        rows[j] = arena.data() + (n - 1 - j) * m;
+        expected[j] = static_cast<uint32_t>(
+            ScalarKernelOps().count_collisions(query.data(), rows[j], m));
       }
       for (const HashKernelOps* ops : AvailableKernels()) {
         SCOPED_TRACE(::testing::Message()
                      << ops->name << " m=" << m << " n=" << n);
         std::vector<uint32_t> counts(n, 12345);
-        ops->count_collisions_many(query.data(), arena.data(), m, n,
+        ops->count_collisions_many(query.data(), rows.data(), m, n,
                                    counts.data());
         EXPECT_EQ(counts, expected);
       }

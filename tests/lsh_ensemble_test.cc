@@ -562,7 +562,7 @@ TEST(LshEnsembleTest, QueryContextReusableAcrossEnsembles) {
 
   LshEnsembleOptions options;
   options.num_partitions = 8;
-  options.parallel_query = false;  // serial path: one shard carries memos
+  options.parallel_query = false;  // serial path: one shard's scratch
   auto small_index = BuildEnsemble(small_corpus, options, family);
   auto big_index = BuildEnsemble(big_corpus, options, family);
   ASSERT_TRUE(small_index.ok());
@@ -576,7 +576,7 @@ TEST(LshEnsembleTest, QueryContextReusableAcrossEnsembles) {
 
   QueryContext shared_ctx;
   std::vector<uint64_t> out;
-  // Warm the memos on the small index with the exact same (q, t*)...
+  // Warm the scratch on the small index with the exact same (q, t*)...
   ASSERT_TRUE(small_index->BatchQuery(specs, &shared_ctx, &out).ok());
   // ...then the big index must answer as if the context were fresh.
   std::vector<uint64_t> shared_out;
