@@ -408,14 +408,6 @@ const MinHash* DynamicLshEnsemble::SignatureOf(uint64_t id) const {
   return it == records_.end() ? nullptr : &it->second.signature;
 }
 
-const MinHash* DynamicLshEnsemble::FindRecord(uint64_t id,
-                                              size_t* size) const {
-  const auto it = records_.find(id);
-  if (it == records_.end()) return nullptr;
-  *size = it->second.size;
-  return &it->second.signature;
-}
-
 SignatureView DynamicLshEnsemble::FindSignature(uint64_t id,
                                                 size_t* size) const {
   const auto it = records_.find(id);

@@ -178,10 +178,6 @@ class DynamicLshEnsemble {
   /// the overlay (post-open inserts); snapshot-resident records have no
   /// owned MinHash — use FindSignature(), which covers both.
   const MinHash* SignatureOf(uint64_t id) const;
-  /// Signature and exact size in one lookup (nullptr / size untouched if
-  /// not live) — one map probe per ranked top-k candidate. Same mapped
-  /// caveat as SignatureOf().
-  const MinHash* FindRecord(uint64_t id, size_t* size) const;
   /// \brief Borrowed view of a live domain's signature and, on success,
   /// its exact size — overlay records and snapshot-resident records
   /// alike. This is the lookup top-k ranking uses; the view is stable

@@ -590,12 +590,6 @@ const MinHash* ShardedEnsemble::SignatureOf(uint64_t id) const {
   return shard.engine.SignatureOf(id);
 }
 
-const MinHash* ShardedEnsemble::FindRecord(uint64_t id, size_t* size) const {
-  const Shard& shard = *shards_[ShardOf(id)];
-  std::shared_lock lock(shard.mutex);
-  return shard.engine.FindRecord(id, size);
-}
-
 SignatureView ShardedEnsemble::FindSignature(uint64_t id,
                                              size_t* size) const {
   const Shard& shard = *shards_[ShardOf(id)];

@@ -220,13 +220,9 @@ class ShardedEnsemble {
   size_t SizeOf(uint64_t id) const;
   /// Signature of a live domain (nullptr if not live). The pointer is
   /// stable until the domain is Remove()d or this object is destroyed.
+  /// Covers only heap records on snapshot-opened shards (see
+  /// DynamicLshEnsemble::SignatureOf); FindSignature covers both.
   const MinHash* SignatureOf(uint64_t id) const;
-  /// Signature and exact size in one owner-shard lookup (nullptr / size
-  /// untouched if not live): one lock acquisition per ranked top-k
-  /// candidate instead of two. Same pointer-stability contract as
-  /// SignatureOf(). Covers only heap records on snapshot-opened shards
-  /// (see DynamicLshEnsemble::FindRecord); FindSignature covers both.
-  const MinHash* FindRecord(uint64_t id, size_t* size) const;
   /// \brief Borrowed signature view + exact size in one owner-shard
   /// lookup — heap and snapshot-resident records alike. The view is
   /// only stable until the owning shard mutates, flushes (a flush of a

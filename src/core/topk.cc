@@ -36,13 +36,6 @@ const MinHash* SketchStore::SignatureOf(uint64_t id) const {
   return it == entries_.end() ? nullptr : &it->second.signature;
 }
 
-const MinHash* SketchStore::FindRecord(uint64_t id, size_t* size) const {
-  const auto it = entries_.find(id);
-  if (it == entries_.end()) return nullptr;
-  *size = it->second.size;
-  return &it->second.signature;
-}
-
 SignatureView SketchStore::FindSignature(uint64_t id, size_t* size) const {
   const auto it = entries_.find(id);
   if (it == entries_.end()) return {};

@@ -59,9 +59,6 @@ class SketchStore {
   size_t SizeOf(uint64_t id) const;
   /// Signature for `id`; nullptr when unknown.
   const MinHash* SignatureOf(uint64_t id) const;
-  /// Signature and exact size in one lookup (nullptr / size untouched
-  /// when unknown).
-  const MinHash* FindRecord(uint64_t id, size_t* size) const;
   /// \brief Borrowed signature view + exact size in one lookup — the
   /// shape the top-k ranking loop wants (dynamic and sharded engines
   /// serve the same view straight from a mapped snapshot's side-car).

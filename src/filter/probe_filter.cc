@@ -1,95 +1,15 @@
 #include "filter/probe_filter.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <string_view>
-
-#if defined(__GNUC__) && defined(__x86_64__)
-#define LSHE_FILTER_HAVE_AVX2 1
-#include <immintrin.h>
-#define LSHE_FILTER_TARGET_AVX2 __attribute__((target("avx2")))
-#endif
 
 namespace lshensemble {
-namespace probe_filter_internal {
-namespace {
-
-/// The eight odd salt multipliers of the Parquet/Impala split-block
-/// design: lane i's bit index is the top 5 bits of h * kSalts[i]. Odd
-/// constants make each lane's map a permutation of the 32-bit space.
-constexpr uint32_t kSalts[kProbeFilterBlockLanes] = {
-    0x47b6137bU, 0x44974d91U, 0x8824ad5bU, 0xa2b7289dU,
-    0x705495c7U, 0x2df1424bU, 0x9efc4947U, 0x5c6bfb31U};
-
-bool ScalarBlockMayContain(const uint32_t* block, uint32_t h) {
-  for (size_t i = 0; i < kProbeFilterBlockLanes; ++i) {
-    const uint32_t bit = 1u << ((h * kSalts[i]) >> 27);
-    if ((block[i] & bit) == 0) return false;
-  }
-  return true;
-}
-
-#if defined(LSHE_FILTER_HAVE_AVX2)
-
-LSHE_FILTER_TARGET_AVX2 bool Avx2BlockMayContain(const uint32_t* block,
-                                                 uint32_t h) {
-  const __m256i salts =
-      _mm256_setr_epi32(static_cast<int>(kSalts[0]), static_cast<int>(kSalts[1]),
-                        static_cast<int>(kSalts[2]), static_cast<int>(kSalts[3]),
-                        static_cast<int>(kSalts[4]), static_cast<int>(kSalts[5]),
-                        static_cast<int>(kSalts[6]), static_cast<int>(kSalts[7]));
-  const __m256i salted =
-      _mm256_mullo_epi32(_mm256_set1_epi32(static_cast<int>(h)), salts);
-  const __m256i mask =
-      _mm256_sllv_epi32(_mm256_set1_epi32(1), _mm256_srli_epi32(salted, 27));
-  const __m256i blk =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block));
-  // testc(blk, mask) == 1 iff (~blk & mask) == 0, i.e. every mask bit set.
-  return _mm256_testc_si256(blk, mask) != 0;
-}
-
-#endif  // LSHE_FILTER_HAVE_AVX2
-
-}  // namespace
-
-bool BlockMayContainScalar(const uint32_t* block, uint32_t h) {
-  return ScalarBlockMayContain(block, h);
-}
-
-bool (*BlockMayContainAvx2())(const uint32_t* block, uint32_t h) {
-#if defined(LSHE_FILTER_HAVE_AVX2)
-  if (__builtin_cpu_supports("avx2")) return &Avx2BlockMayContain;
-#endif
-  return nullptr;
-}
-
-bool (*ActiveBlockProbe())(const uint32_t* block, uint32_t h) {
-  static bool (*const probe)(const uint32_t*, uint32_t) = [] {
-    if (const char* env = std::getenv("LSHE_KERNEL")) {
-      // Follow the minhash kernel override so LSHE_KERNEL=scalar pins the
-      // whole query path, filter probes included. Unknown values fall
-      // through to default dispatch; hash_kernel.cc already warns once.
-      if (std::string_view(env) == "scalar") return &ScalarBlockMayContain;
-    }
-    if (auto* avx2 = BlockMayContainAvx2()) return avx2;
-    return &ScalarBlockMayContain;
-  }();
-  return probe;
-}
-
-const char* ActiveBlockProbeName() {
-  return ActiveBlockProbe() == &ScalarBlockMayContain ? "scalar" : "avx2";
-}
-
-}  // namespace probe_filter_internal
 
 void ProbeFilter::Insert(uint64_t hash) {
   uint32_t* lanes =
       blocks_.owned().data() + BlockIndex(hash) * kProbeFilterBlockLanes;
   const uint32_t h = static_cast<uint32_t>(hash);
   for (size_t i = 0; i < kProbeFilterBlockLanes; ++i) {
-    lanes[i] |= 1u << ((h * probe_filter_internal::kSalts[i]) >> 27);
+    lanes[i] |= 1u << ((h * kBlockProbeSalts[i]) >> 27);
   }
 }
 

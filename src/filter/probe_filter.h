@@ -17,9 +17,11 @@
 // every query touches a single cache line. Block selection uses the high
 // 32 bits of the mixed key via the fast-range reduction (no power-of-two
 // constraint); the per-lane bit index comes from the low 32 bits multiplied
-// by eight odd salts. The block probe has a portable scalar form and an
-// AVX2 form behind the same once-per-process dispatch (and LSHE_KERNEL
-// override) as the minhash kernels; both are bit-exact equals.
+// by eight odd salts. The salts and the block probe live in the kernel
+// table (minhash/hash_kernel.h: kBlockProbeSalts, block_may_contain), so
+// the probe takes the same once-per-process dispatch and LSHE_KERNEL
+// override as every other hot loop; every table's probe is bit-exact
+// equal to the scalar one.
 //
 // Blocks live in ArenaRef<uint32_t> storage, so a filter is either owned
 // (built at Flush/Build time) or a borrowed view into an mmap'ed snapshot
@@ -30,10 +32,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 
 #include "lsh/arena_ref.h"
+#include "minhash/hash_kernel.h"
 #include "util/hashing.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -41,29 +45,8 @@
 namespace lshensemble {
 
 /// \brief Number of u32 lanes in one filter block (one 32-byte half cache
-/// line; a probe touches exactly one block).
-inline constexpr size_t kProbeFilterBlockLanes = 8;
-
-namespace probe_filter_internal {
-
-/// Scalar block probe: true when every salted bit of `h` is set in `block`
-/// (8 lanes). Reference implementation; the dispatch table must match it
-/// bit-exactly.
-bool BlockMayContainScalar(const uint32_t* block, uint32_t h);
-
-/// The AVX2 block probe, or nullptr when the build target or running CPU
-/// lacks AVX2. Exposed for the parity test.
-bool (*BlockMayContainAvx2())(const uint32_t* block, uint32_t h);
-
-/// The probe implementation every filter uses: best the CPU supports,
-/// resolved once per process, honoring LSHE_KERNEL=scalar like the minhash
-/// kernel dispatch.
-bool (*ActiveBlockProbe())(const uint32_t* block, uint32_t h);
-
-/// Name of the active block-probe implementation ("scalar" or "avx2").
-const char* ActiveBlockProbeName();
-
-}  // namespace probe_filter_internal
+/// line; a probe touches exactly one block): one lane per salt.
+inline constexpr size_t kProbeFilterBlockLanes = std::size(kBlockProbeSalts);
 
 /// \brief Split-block Bloom filter over 64-bit probe keys.
 ///
@@ -162,8 +145,9 @@ class ProbeFilter {
   /// Keeps a mapped snapshot alive while blocks_ views into it.
   std::shared_ptr<const void> backing_;
   uint64_t num_blocks_ = 0;
+  /// The active table's block probe, read once at construction.
   bool (*probe_)(const uint32_t*, uint32_t) =
-      probe_filter_internal::ActiveBlockProbe();
+      ActiveKernelOps().block_may_contain;
 };
 
 }  // namespace lshensemble

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "minhash/hash_kernel.h"
+
 #if defined(__GNUC__) && defined(__x86_64__)
 #define LSHE_CRC32C_HAVE_SSE42 1
 #include <nmmintrin.h>
@@ -107,13 +109,15 @@ namespace {
 uint32_t (*ActiveExtend())(uint32_t, const void*, size_t) {
   static uint32_t (*const extend)(uint32_t, const void*, size_t) = [] {
     // LSHE_CRC32C=sw pins the checksum kernel alone (parity tests, bench
-    // baselines); LSHE_KERNEL=scalar pins it along with every other
-    // kernel override in the process.
+    // baselines). LSHE_KERNEL=scalar pins it along with every other
+    // kernel: the scalar table active on an AVX2 host means the override
+    // chose it (ActiveKernelOps() is the one reader of LSHE_KERNEL).
     if (const char* env = std::getenv("LSHE_CRC32C")) {
       if (std::string_view(env) == "sw") return &ExtendSw;
     }
-    if (const char* env = std::getenv("LSHE_KERNEL")) {
-      if (std::string_view(env) == "scalar") return &ExtendSw;
+    if (&ActiveKernelOps() == &ScalarKernelOps() &&
+        Avx2KernelOps() != nullptr) {
+      return &ExtendSw;
     }
     if (auto* hw = ExtendHw()) return hw;
     return &ExtendSw;

@@ -21,11 +21,6 @@ Result<std::shared_ptr<const HashFamily>> HashFamily::Create(int num_hashes,
       new HashFamily(std::move(mul), std::move(add), seed));
 }
 
-void HashFamily::UpdateMins(uint64_t value, uint64_t* mins) const {
-  ActiveKernelOps().update_one(mul_.data(), add_.data(), mul_.size(), value,
-                               mins);
-}
-
 void HashFamily::UpdateMinsBatch(const uint64_t* values, size_t n,
                                  uint64_t* mins) const {
   ActiveKernelOps().update_batch(mul_.data(), add_.data(), mul_.size(),

@@ -76,15 +76,12 @@ class HashFamily {
     return AddMod61(MulMod61(mul_[i], ReduceMod61(value)), add_[i]);
   }
 
-  /// \brief Fold `value` into a running minimum signature:
-  /// mins[i] = min(mins[i], h_i(value)) for all i. `mins` must have
-  /// num_hashes() elements. Dispatches to the active SIMD kernel
-  /// (minhash/hash_kernel.h); results are identical on every CPU.
-  void UpdateMins(uint64_t value, uint64_t* mins) const;
-
-  /// \brief Fold `n` values into `mins` in one call. Equivalent to calling
-  /// UpdateMins() per value but substantially faster: the kernel blocks
-  /// the work so min-registers stay in registers across the whole batch.
+  /// \brief Fold `n` values into a running minimum signature:
+  /// mins[i] = min(mins[i], h_i(v)) for every value v and all i. `mins`
+  /// must have num_hashes() elements; n = 1 folds a single value.
+  /// Dispatches to the active SIMD kernel (minhash/hash_kernel.h), which
+  /// blocks the work so min-registers stay in registers across the whole
+  /// batch; results are identical on every CPU.
   void UpdateMinsBatch(const uint64_t* values, size_t n,
                        uint64_t* mins) const;
 

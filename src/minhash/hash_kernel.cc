@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string_view>
 
 #include "minhash/hash_family.h"
@@ -18,15 +19,6 @@ namespace lshensemble {
 namespace {
 
 // ------------------------------------------------------------- scalar ----
-
-void ScalarUpdateOne(const uint64_t* mul, const uint64_t* add, size_t m,
-                     uint64_t value, uint64_t* mins) {
-  const uint64_t reduced = ReduceMod61(value);
-  for (size_t i = 0; i < m; ++i) {
-    const uint64_t h = AddMod61(MulMod61(mul[i], reduced), add[i]);
-    if (h < mins[i]) mins[i] = h;
-  }
-}
 
 /// Values per blocking chunk: the chunk's reduced limbs stay L1-resident
 /// while every hash block streams over them.
@@ -68,6 +60,7 @@ void ScalarUpdateBatch(const uint64_t* mul, const uint64_t* add, size_t m,
   }
 }
 
+/// One signature pair: the single-row loop of ScalarCountCollisionsMany.
 size_t ScalarCountCollisions(const uint64_t* a, const uint64_t* b, size_t m) {
   // Branchless mask-sum: collision outcomes are near-random on the top-k
   // verification path, so a per-element branch would mispredict constantly.
@@ -198,6 +191,14 @@ void ScalarLowerBoundMany(const uint32_t* first_keys, uint32_t n,
   }
 }
 
+bool ScalarBlockMayContain(const uint32_t* block, uint32_t h) {
+  for (size_t i = 0; i < std::size(kBlockProbeSalts); ++i) {
+    const uint32_t bit = 1u << ((h * kBlockProbeSalts[i]) >> 27);
+    if ((block[i] & bit) == 0) return false;
+  }
+  return true;
+}
+
 // ----------------------------------------------------------- x86 SIMD ----
 //
 // Neither AVX2 nor AVX-512F has a 64x64 multiply, so the 61-bit mulmod is
@@ -277,37 +278,6 @@ LSHE_TARGET_AVX2 inline __m256i HashAvx2(const Avx2Coeffs& c, __m256i v_lo,
 /// compare is exact.
 LSHE_TARGET_AVX2 inline __m256i Min64Avx2(__m256i cur, __m256i h) {
   return _mm256_blendv_epi8(cur, h, _mm256_cmpgt_epi64(cur, h));
-}
-
-LSHE_TARGET_AVX2 void Avx2UpdateOne(const uint64_t* mul, const uint64_t* add,
-                                    size_t m, uint64_t value,
-                                    uint64_t* mins) {
-  const uint64_t reduced = ReduceMod61(value);
-  const uint64_t lo = reduced & ((1ULL << 31) - 1);
-  const uint64_t hi = reduced >> 31;
-  const __m256i v_lo = _mm256_set1_epi64x(static_cast<long long>(lo));
-  const __m256i v_hi = _mm256_set1_epi64x(static_cast<long long>(hi));
-  const __m256i v_sum = _mm256_set1_epi64x(static_cast<long long>(lo + hi));
-  const __m256i p =
-      _mm256_set1_epi64x(static_cast<long long>(kMersennePrime61));
-  const __m256i p_minus_1 =
-      _mm256_set1_epi64x(static_cast<long long>(kMersennePrime61 - 1));
-  const __m256i mask30 =
-      _mm256_set1_epi64x(static_cast<long long>((1ULL << 30) - 1));
-
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const Avx2Coeffs c = LoadCoeffsAvx2(mul, add, i);
-    const __m256i mn =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mins + i));
-    const __m256i h = HashAvx2(c, v_lo, v_hi, v_sum, p, p_minus_1, mask30);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mins + i),
-                        Min64Avx2(mn, h));
-  }
-  for (; i < m; ++i) {
-    const uint64_t h = AddMod61(MulMod61(mul[i], reduced), add[i]);
-    if (h < mins[i]) mins[i] = h;
-  }
 }
 
 LSHE_TARGET_AVX2 void Avx2UpdateBatch(const uint64_t* mul,
@@ -404,31 +374,6 @@ LSHE_TARGET_AVX512 inline __m512i HashAvx512(const Avx512Coeffs& c,
   return _mm512_mask_sub_epi64(t, ge, t, p);
 }
 
-LSHE_TARGET_AVX512 void Avx512UpdateOne(const uint64_t* mul,
-                                        const uint64_t* add, size_t m,
-                                        uint64_t value, uint64_t* mins) {
-  const uint64_t reduced = ReduceMod61(value);
-  const uint64_t lo = reduced & ((1ULL << 31) - 1);
-  const uint64_t hi = reduced >> 31;
-  const __m512i v_lo = _mm512_set1_epi64(static_cast<long long>(lo));
-  const __m512i v_hi = _mm512_set1_epi64(static_cast<long long>(hi));
-  const __m512i v_sum = _mm512_set1_epi64(static_cast<long long>(lo + hi));
-  const __m512i p = _mm512_set1_epi64(static_cast<long long>(kMersennePrime61));
-  const __m512i mask30 = _mm512_set1_epi64((1ULL << 30) - 1);
-
-  size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const Avx512Coeffs c = LoadCoeffsAvx512(mul, add, i);
-    const __m512i mn = _mm512_loadu_si512(mins + i);
-    const __m512i h = HashAvx512(c, v_lo, v_hi, v_sum, p, mask30);
-    _mm512_storeu_si512(mins + i, _mm512_min_epu64(mn, h));
-  }
-  for (; i < m; ++i) {
-    const uint64_t h = AddMod61(MulMod61(mul[i], reduced), add[i]);
-    if (h < mins[i]) mins[i] = h;
-  }
-}
-
 LSHE_TARGET_AVX512 void Avx512UpdateBatch(const uint64_t* mul,
                                           const uint64_t* add, size_t m,
                                           const uint64_t* values, size_t n,
@@ -488,9 +433,11 @@ LSHE_TARGET_AVX512 void Avx512UpdateBatch(const uint64_t* mul,
   }
 }
 
-/// 4 lanes per compare: equal-and-not-empty lanes drop out of a movemask
-/// whose set bits are popcounted. Both signatures are canonical Mersenne-61
-/// residues (< 2^61), so the signed 64-bit lane compare is exact.
+/// One signature pair, 4 lanes per compare: the single-row remainder of
+/// Avx2CountCollisionsMany (and the whole call when n = 1). Equal-and-
+/// not-empty lanes drop out of a movemask whose set bits are popcounted.
+/// Both signatures are canonical Mersenne-61 residues (< 2^61), so the
+/// signed 64-bit lane compare is exact.
 LSHE_TARGET_AVX2 size_t Avx2CountCollisions(const uint64_t* a,
                                             const uint64_t* b, size_t m) {
   const __m256i empty =
@@ -515,7 +462,9 @@ LSHE_TARGET_AVX2 size_t Avx2CountCollisions(const uint64_t* a,
   return collisions;
 }
 
-/// 8 lanes per compare with the two mask registers combined directly.
+/// One signature pair, 8 lanes per compare with the two mask registers
+/// combined directly: the single-row remainder of
+/// Avx512CountCollisionsMany (and the whole call when n = 1).
 LSHE_TARGET_AVX512 size_t Avx512CountCollisions(const uint64_t* a,
                                                 const uint64_t* b, size_t m) {
   const __m512i empty =
@@ -823,29 +772,48 @@ LSHE_TARGET_AVX512 void Avx512LowerBoundMany(const uint32_t* first_keys,
   }
 }
 
+/// All eight salted bit tests in one 256-bit multiply/shift and a single
+/// testc against the block.
+LSHE_TARGET_AVX2 bool Avx2BlockMayContain(const uint32_t* block,
+                                          uint32_t h) {
+  const __m256i salts = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kBlockProbeSalts));
+  const __m256i salted =
+      _mm256_mullo_epi32(_mm256_set1_epi32(static_cast<int>(h)), salts);
+  const __m256i mask =
+      _mm256_sllv_epi32(_mm256_set1_epi32(1), _mm256_srli_epi32(salted, 27));
+  const __m256i blk =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block));
+  // testc(blk, mask) == 1 iff (~blk & mask) == 0, i.e. every mask bit set.
+  return _mm256_testc_si256(blk, mask) != 0;
+}
+
 #endif  // LSHE_KERNEL_HAVE_AVX2
 
-constexpr HashKernelOps kScalarOps = {"scalar", &ScalarUpdateOne,
+constexpr HashKernelOps kScalarOps = {"scalar",
                                       &ScalarUpdateBatch,
-                                      &ScalarCountCollisions,
                                       &ScalarCountCollisionsMany,
                                       &ScalarRefinePrefixRange,
-                                      &ScalarLowerBoundMany};
+                                      &ScalarLowerBoundMany,
+                                      &ScalarBlockMayContain};
 
 #if defined(LSHE_KERNEL_HAVE_AVX2)
-constexpr HashKernelOps kAvx2Ops = {"avx2", &Avx2UpdateOne, &Avx2UpdateBatch,
-                                    &Avx2CountCollisions,
+constexpr HashKernelOps kAvx2Ops = {"avx2",
+                                    &Avx2UpdateBatch,
                                     &Avx2CountCollisionsMany,
                                     &Avx2RefinePrefixRange,
-                                    &Avx2LowerBoundMany};
-// The probe-refine kernel is search-bound, not ALU-bound; 256-bit compares
-// already cover the whole suffix, so the AVX-512 table reuses them.
-constexpr HashKernelOps kAvx512Ops = {"avx512", &Avx512UpdateOne,
+                                    &Avx2LowerBoundMany,
+                                    &Avx2BlockMayContain};
+// The AVX-512 ingest, collision and descent kernels each earn their place
+// end to end (docs/ARCHITECTURE.md records the A/B). The probe refine and
+// the Bloom probe are search-bound, and 256-bit compares already cover a
+// whole prefix or block, so the AVX-512 table reuses the AVX2 forms.
+constexpr HashKernelOps kAvx512Ops = {"avx512",
                                       &Avx512UpdateBatch,
-                                      &Avx512CountCollisions,
                                       &Avx512CountCollisionsMany,
                                       &Avx2RefinePrefixRange,
-                                      &Avx512LowerBoundMany};
+                                      &Avx512LowerBoundMany,
+                                      &Avx2BlockMayContain};
 #endif
 
 }  // namespace

@@ -1,20 +1,28 @@
 // Runtime-dispatched SIMD kernels for the hot inner loops of the
-// library: folding values into MinHash signatures (the ingest path the
-// paper's Table 4 measures), and the two phases of an LshForest probe —
-// the lockstep slot-0 equal-range descent over the per-tree first-key
-// arrays (gather-based 8/16-way on AVX2/AVX-512) and the prefix-match
-// range refinement (the query path).
+// library, one table entry per job: folding values into MinHash
+// signatures (the ingest path the paper's Table 4 measures), counting
+// signature collisions for the Jaccard estimate, the two phases of an
+// LshForest probe (the lockstep slot-0 equal-range descent over the
+// per-tree first-key arrays, gather-based 8/16-way on AVX2/AVX-512, and
+// the prefix-match range refinement), and the split-block Bloom probe of
+// the filter tier in front of it (filter/probe_filter.h).
 //
-// Every kernel exists in a portable scalar form and, on x86-64 builds with
-// a GNU-compatible compiler, an AVX2 form compiled via function-level
-// `target("avx2")` attributes (no special compile flags needed; non-x86
-// builds simply have no AVX2 table). Dispatch happens once per process:
-// ActiveKernelOps() picks the best table the CPU supports, overridable with
-// the environment variable LSHE_KERNEL=scalar|avx2 for benchmarking and
-// debugging. All implementations of one operation are bit-exact equals —
-// the AVX2 mulmod reproduces the scalar Mersenne-61 arithmetic through
-// 32-bit limb splitting — so sketches and serialized bytes never depend on
-// the host CPU (tests/hash_kernel_test.cc enforces this).
+// Every job has exactly one form per table, the batch form: a single
+// value, a single signature pair or a single tree is a batch of one.
+// Each kernel exists in a portable scalar form and, on x86-64 builds with
+// a GNU-compatible compiler, AVX2 and AVX-512F forms compiled via
+// function-level `target(...)` attributes (no special compile flags
+// needed; non-x86 builds simply have no vector tables). Dispatch happens
+// once per process: ActiveKernelOps() picks the best table the CPU
+// supports, overridable with the environment variable
+// LSHE_KERNEL=scalar|avx2|avx512 for benchmarking and debugging; it is
+// the only kernel dispatcher in the library, so one override pins the
+// sketching, the forest probe and the filter probe alike. All
+// implementations of one operation are bit-exact equals — the vector
+// mulmods reproduce the scalar Mersenne-61 arithmetic through 32-bit limb
+// splitting — so sketches, serialized bytes and candidate sets never
+// depend on the host CPU (tests/hash_kernel_test.cc and
+// tests/probe_filter_test.cc enforce this).
 
 #ifndef LSHENSEMBLE_MINHASH_HASH_KERNEL_H_
 #define LSHENSEMBLE_MINHASH_HASH_KERNEL_H_
@@ -24,38 +32,40 @@
 
 namespace lshensemble {
 
-/// \brief A table of interchangeable kernel implementations. All function
-/// pointers are non-null and produce results identical to the scalar table.
+/// \brief The eight odd salt multipliers of the split-block Bloom filter
+/// (the Parquet/Impala design): lane i of a block holds the bit at index
+/// (h * kBlockProbeSalts[i]) >> 27 of every inserted key's low hash word
+/// `h`. Odd constants make each lane's map a permutation of the 32-bit
+/// space. ProbeFilter::Insert sets these bits; block_may_contain tests
+/// them.
+inline constexpr uint32_t kBlockProbeSalts[8] = {
+    0x47b6137bU, 0x44974d91U, 0x8824ad5bU, 0xa2b7289dU,
+    0x705495c7U, 0x2df1424bU, 0x9efc4947U, 0x5c6bfb31U};
+
+/// \brief A table of interchangeable kernel implementations: a name plus
+/// one function per job. All function pointers are non-null and produce
+/// results identical to the scalar table.
 struct HashKernelOps {
-  /// Implementation name ("scalar", "avx2") as reported by benches/tests.
+  /// Implementation name ("scalar", "avx2", "avx512") as reported by
+  /// benches, tests and `lshe stats`.
   const char* name;
 
-  /// mins[i] = min(mins[i], (mul[i] * Reduce(value) + add[i]) mod p) for
-  /// i in [0, m), with p = 2^61 - 1. `mul`/`add` are the hash family's
-  /// coefficient arrays; `value` is an arbitrary 64-bit base hash.
-  void (*update_one)(const uint64_t* mul, const uint64_t* add, size_t m,
-                     uint64_t value, uint64_t* mins);
-
-  /// Fold `n` values into `mins` in one call: equivalent to calling
-  /// update_one for every value, but blocked so each run of min-registers
-  /// stays in registers across the whole batch instead of round-tripping
-  /// through memory per value.
+  /// Fold `n` values into `mins`: for every value v and i in [0, m),
+  /// mins[i] = min(mins[i], (mul[i] * Reduce(v) + add[i]) mod p), with
+  /// p = 2^61 - 1. `mul`/`add` are the hash family's coefficient arrays;
+  /// each value is an arbitrary 64-bit base hash. Blocked so each run of
+  /// min-registers stays in registers across the whole batch; n = 1 folds
+  /// a single value (MinHash::Update).
   void (*update_batch)(const uint64_t* mul, const uint64_t* add, size_t m,
                        const uint64_t* values, size_t n, uint64_t* mins);
 
-  /// Number of slots where a[i] == b[i] and the slot has seen a value
-  /// (a[i] != 2^61 - 1, the MinHash empty sentinel) — the collision count
-  /// behind the Jaccard estimator (paper Eq. 4). Hot in top-k candidate
-  /// verification and the dynamic delta scan, where one record signature
-  /// is compared against a whole batch of query signatures.
-  size_t (*count_collisions)(const uint64_t* a, const uint64_t* b, size_t m);
-
-  /// Batch form: out_counts[j] = count_collisions(query, sigs[j], m) for
-  /// j in [0, n), over n m-slot signatures wherever they live. One call
-  /// scores a whole record block against one query — the dynamic delta
-  /// scan's inner loop, reading each record's signature in place —
-  /// amortizing dispatch overhead and letting each implementation keep its
-  /// constants and the query signature hot.
+  /// out_counts[j] = the number of slots i in [0, m) where
+  /// query[i] == sigs[j][i] and the slot has seen a value
+  /// (query[i] != 2^61 - 1, the MinHash empty sentinel), for j in [0, n)
+  /// over n m-slot signatures wherever they live — the collision count
+  /// behind the Jaccard estimator (paper Eq. 4). One call scores a whole
+  /// record block against one query (the dynamic delta scan's inner
+  /// loop); n = 1 is one pair (MinHash::EstimateJaccard, top-k ranking).
   void (*count_collisions_many)(const uint64_t* query,
                                 const uint64_t* const* sigs, size_t m,
                                 size_t n, uint32_t* out_counts);
@@ -81,6 +91,11 @@ struct HashKernelOps {
   void (*lower_bound_many)(const uint32_t* first_keys, uint32_t n,
                            const uint32_t* keys, size_t count, uint32_t* lo,
                            uint32_t* hi);
+
+  /// The split-block Bloom filter probe: true when every salted bit of
+  /// `h` (see kBlockProbeSalts) is set in the 8-lane `block`. A false
+  /// answer is exact.
+  bool (*block_may_contain)(const uint32_t* block, uint32_t h);
 };
 
 /// The portable scalar table; always available.
@@ -90,15 +105,16 @@ const HashKernelOps& ScalarKernelOps();
 /// does not support AVX2.
 const HashKernelOps* Avx2KernelOps();
 
-/// The AVX-512F table (8-lane ingest kernels), or nullptr when
-/// unsupported.
+/// The AVX-512F table, or nullptr when the build target or the running
+/// CPU does not support AVX-512F.
 const HashKernelOps* Avx512KernelOps();
 
 /// \brief The table every hot path should use: the most capable table the
 /// CPU supports (avx512 > avx2 > scalar), resolved once per process. The
 /// LSHE_KERNEL environment variable ("scalar", "avx2" or "avx512") forces
 /// a specific table; an unavailable choice falls back to the default
-/// resolution.
+/// resolution with a one-line warning on stderr. This is the only place
+/// that reads LSHE_KERNEL.
 const HashKernelOps& ActiveKernelOps();
 
 }  // namespace lshensemble

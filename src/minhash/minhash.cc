@@ -24,9 +24,10 @@ MinHash MinHash::FromValues(std::shared_ptr<const HashFamily> family,
 
 MinHash MinHash::FromStrings(std::shared_ptr<const HashFamily> family,
                              std::span<const std::string> values) {
-  MinHash sketch(std::move(family));
-  for (const std::string& v : values) sketch.UpdateString(v);
-  return sketch;
+  std::vector<uint64_t> hashes;
+  hashes.reserve(values.size());
+  for (const std::string& v : values) hashes.push_back(HashString(v));
+  return FromValues(std::move(family), hashes);
 }
 
 Result<MinHash> MinHash::FromSlots(std::shared_ptr<const HashFamily> family,
@@ -63,7 +64,7 @@ bool MinHash::empty() const {
 
 void MinHash::Update(uint64_t value) {
   assert(valid());
-  family_->UpdateMins(value, mins_.data());
+  family_->UpdateMinsBatch(&value, 1, mins_.data());
 }
 
 void MinHash::UpdateString(std::string_view value) {
@@ -83,13 +84,7 @@ Result<double> MinHash::EstimateJaccard(const MinHash& other) const {
     return Status::InvalidArgument(
         "MinHash signatures built from different hash families");
   }
-  // Dispatched collision count (scalar/AVX2/AVX-512, identical results):
-  // this runs once per candidate on the top-k verification and dynamic
-  // delta-scan hot paths.
-  const size_t m = mins_.size();
-  const size_t collisions = ActiveKernelOps().count_collisions(
-      mins_.data(), other.mins_.data(), m);
-  return static_cast<double>(collisions) / static_cast<double>(m);
+  return EstimateJaccard(other.view());
 }
 
 Result<double> MinHash::EstimateJaccard(SignatureView other) const {
@@ -100,9 +95,12 @@ Result<double> MinHash::EstimateJaccard(SignatureView other) const {
     return Status::InvalidArgument(
         "MinHash signatures have different lengths");
   }
+  // A batch of one row through the dispatched collision kernel: this runs
+  // once per candidate on the top-k ranking hot path.
   const size_t m = mins_.size();
-  const size_t collisions =
-      ActiveKernelOps().count_collisions(mins_.data(), other.values, m);
+  uint32_t collisions = 0;
+  ActiveKernelOps().count_collisions_many(mins_.data(), &other.values, m, 1,
+                                          &collisions);
   return static_cast<double>(collisions) / static_cast<double>(m);
 }
 
@@ -128,8 +126,8 @@ Status MinHash::Merge(const MinHash& other) {
     return Status::InvalidArgument(
         "cannot merge MinHash signatures from different hash families");
   }
-  // Branchless slot-wise min (cmov/vectorizable), same rationale as the
-  // EstimateJaccard mask-sum above.
+  // Branchless slot-wise min (cmov/vectorizable): slot outcomes are
+  // near-random, so a per-slot branch would mispredict.
   const uint64_t* src = other.mins_.data();
   uint64_t* dst = mins_.data();
   for (size_t i = 0; i < mins_.size(); ++i) {

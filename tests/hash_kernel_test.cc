@@ -41,16 +41,27 @@ std::vector<uint64_t> RandomValues(size_t n, uint64_t seed) {
   return values;
 }
 
-// The reference: the seed implementation's per-value scalar loop.
+// The reference: every slot's minimum over HashFamily::HashOne, the
+// plain Mersenne-61 arithmetic with no kernel involved.
 std::vector<uint64_t> ReferenceMins(const HashFamily& family,
                                     const std::vector<uint64_t>& values) {
   std::vector<uint64_t> mins(family.num_hashes(), MinHash::kEmptySlot);
   for (uint64_t v : values) {
-    ScalarKernelOps().update_one(family.multipliers().data(),
-                                 family.offsets().data(), mins.size(), v,
-                                 mins.data());
+    for (int i = 0; i < family.num_hashes(); ++i) {
+      mins[i] = std::min(mins[i], family.HashOne(v, i));
+    }
   }
   return mins;
+}
+
+// The collision count by definition: equal slots that have seen a value.
+uint32_t BruteForceCollisions(const uint64_t* a, const uint64_t* b,
+                              size_t m) {
+  uint32_t collisions = 0;
+  for (size_t i = 0; i < m; ++i) {
+    if (a[i] == b[i] && a[i] != MinHash::kEmptySlot) ++collisions;
+  }
+  return collisions;
 }
 
 TEST(HashKernelTest, AllKernelsBitIdentical) {
@@ -62,10 +73,12 @@ TEST(HashKernelTest, AllKernelsBitIdentical) {
 
     for (const HashKernelOps* ops : AvailableKernels()) {
       SCOPED_TRACE(::testing::Message() << ops->name << " m=" << m);
+      // One value at a time: a single value is a batch of one.
       std::vector<uint64_t> one(m, MinHash::kEmptySlot);
-      for (uint64_t v : values) {
-        ops->update_one(family->multipliers().data(),
-                        family->offsets().data(), one.size(), v, one.data());
+      for (const uint64_t& v : values) {
+        ops->update_batch(family->multipliers().data(),
+                          family->offsets().data(), one.size(), &v, 1,
+                          one.data());
       }
       EXPECT_EQ(one, reference);
 
@@ -95,22 +108,22 @@ TEST(HashKernelTest, CountCollisionsParityAcrossKernels) {
         default: b[i] = MinHash::kEmptySlot; break;
       }
     }
-    size_t expected = 0;
-    for (int i = 0; i < m; ++i) {
-      if (a[i] == b[i] && a[i] != MinHash::kEmptySlot) ++expected;
-    }
+    const uint32_t expected = BruteForceCollisions(a.data(), b.data(), m);
+    // One pair is a one-row count_collisions_many call.
+    const uint64_t* row = b.data();
     for (const HashKernelOps* ops : AvailableKernels()) {
       SCOPED_TRACE(::testing::Message() << ops->name << " m=" << m);
-      EXPECT_EQ(ops->count_collisions(a.data(), b.data(), a.size()),
-                expected);
+      uint32_t count = 12345;
+      ops->count_collisions_many(a.data(), &row, a.size(), 1, &count);
+      EXPECT_EQ(count, expected);
     }
   }
 }
 
 TEST(HashKernelTest, CountCollisionsManyMatchesSingle) {
-  // The batch form must agree with per-pair counts for every kernel, at
-  // odd batch lengths (the record-pair unroll has a tail) and odd m, with
-  // the rows taken out of order.
+  // The batch form must agree with brute-force per-pair counts for every
+  // kernel, at odd batch lengths (the record unrolls have tails) and odd
+  // m, with the rows taken out of order.
   for (const int m : {1, 4, 7, 8, 16, 128, 250, 256}) {
     Rng rng(m * 997 + 3);
     std::vector<uint64_t> query(m);
@@ -132,8 +145,7 @@ TEST(HashKernelTest, CountCollisionsManyMatchesSingle) {
       std::vector<uint32_t> expected(n);
       for (size_t j = 0; j < n; ++j) {
         rows[j] = arena.data() + (n - 1 - j) * m;
-        expected[j] = static_cast<uint32_t>(
-            ScalarKernelOps().count_collisions(query.data(), rows[j], m));
+        expected[j] = BruteForceCollisions(query.data(), rows[j], m);
       }
       for (const HashKernelOps* ops : AvailableKernels()) {
         SCOPED_TRACE(::testing::Message()
@@ -446,10 +458,11 @@ TEST(ParallelSketcherTest, AddCorpusBuildsQueryableEnsemble) {
 TEST(HashKernelTest, ActiveKernelIsAvailable) {
   const HashKernelOps& active = ActiveKernelOps();
   EXPECT_NE(active.name, nullptr);
-  EXPECT_NE(active.update_one, nullptr);
   EXPECT_NE(active.update_batch, nullptr);
+  EXPECT_NE(active.count_collisions_many, nullptr);
   EXPECT_NE(active.refine_prefix_range, nullptr);
   EXPECT_NE(active.lower_bound_many, nullptr);
+  EXPECT_NE(active.block_may_contain, nullptr);
 }
 
 }  // namespace

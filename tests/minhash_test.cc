@@ -71,7 +71,8 @@ TEST(HashFamilyTest, AddMod61Wraps) {
 TEST(HashFamilyTest, UpdateMinsMatchesHashOne) {
   auto family = Family(32, 8);
   std::vector<uint64_t> mins(32, MinHash::kEmptySlot);
-  family->UpdateMins(777, mins.data());
+  const uint64_t value = 777;
+  family->UpdateMinsBatch(&value, 1, mins.data());
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(mins[i], family->HashOne(777, i));
   }

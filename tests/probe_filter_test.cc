@@ -2,7 +2,8 @@
 // must always test positive (false negatives would silently drop query
 // candidates), and keys never inserted should rarely test positive (a
 // false positive only wastes a forest probe). These tests pin both sides,
-// the scalar/AVX2 block-probe parity, and the zero-copy mapped view.
+// the block-probe parity across kernel tables, and the zero-copy mapped
+// view.
 
 #include "filter/probe_filter.h"
 
@@ -12,6 +13,8 @@
 #include <memory>
 #include <random>
 #include <vector>
+
+#include "minhash/hash_kernel.h"
 
 namespace lshensemble {
 namespace {
@@ -111,12 +114,15 @@ TEST(ProbeFilterTest, FromMappedValidatesLaneCount) {
                   .ok());
 }
 
-// The AVX2 block probe must agree with the scalar reference on every
-// (block, hash) pair — including blocks with all bits set and none set.
+// Every available kernel table's block probe (scalar, AVX2, and the
+// AVX-512 table, which reuses the AVX2 form) must agree with the
+// salted-bit definition on every (block, hash) pair — including blocks
+// with all bits set and none set.
 TEST(ProbeFilterTest, ScalarAndAvx2BlockProbesAgree) {
-  auto* avx2 = probe_filter_internal::BlockMayContainAvx2();
-  if (avx2 == nullptr) {
-    GTEST_SKIP() << "AVX2 block probe unavailable on this CPU/build";
+  std::vector<const HashKernelOps*> tables = {&ScalarKernelOps()};
+  if (const HashKernelOps* avx2 = Avx2KernelOps()) tables.push_back(avx2);
+  if (const HashKernelOps* avx512 = Avx512KernelOps()) {
+    tables.push_back(avx512);
   }
   std::mt19937_64 rng(2026);
   uint32_t block[kProbeFilterBlockLanes];
@@ -130,9 +136,15 @@ TEST(ProbeFilterTest, ScalarAndAvx2BlockProbesAgree) {
     if (trial == 0) std::memset(block, 0, sizeof(block));
     if (trial == 1) std::memset(block, 0xFF, sizeof(block));
     const auto h = static_cast<uint32_t>(rng());
-    EXPECT_EQ(probe_filter_internal::BlockMayContainScalar(block, h),
-              avx2(block, h))
-        << "trial " << trial << " hash " << h;
+    bool expected = true;
+    for (size_t i = 0; i < kProbeFilterBlockLanes; ++i) {
+      const uint32_t bit = 1u << ((h * kBlockProbeSalts[i]) >> 27);
+      expected = expected && (block[i] & bit) != 0;
+    }
+    for (const HashKernelOps* ops : tables) {
+      ASSERT_EQ(ops->block_may_contain(block, h), expected)
+          << ops->name << " trial " << trial << " hash " << h;
+    }
   }
 }
 

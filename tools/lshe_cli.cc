@@ -57,8 +57,11 @@
 // ascending id order, where root is the smallest id in the domain's
 // cluster.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -67,6 +70,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -84,6 +88,7 @@
 #include "io/env.h"
 #include "io/fsck.h"
 #include "io/snapshot.h"
+#include "minhash/hash_kernel.h"
 #include "minhash/minhash.h"
 #include "serve/server.h"
 #include "serve/snapshot_manager.h"
@@ -113,13 +118,13 @@ struct Flags {
   // serve flags
   std::string bind = "127.0.0.1";
   std::string port_file;       // write the bound port here (scripts)
-  int port = 0;                // 0 = ephemeral
+  uint16_t port = 0;           // 0 = ephemeral
   int reactors = 2;
   int dispatchers = 2;
-  int batch_max = 64;
+  size_t batch_max = 64;
   uint64_t linger_us = 50;
-  int max_pending = 1024;
-  int max_in_flight = 0;       // engine admission bound; 0 = unbounded
+  size_t max_pending = 1024;
+  size_t max_in_flight = 0;    // engine admission bound; 0 = unbounded
   bool partial = false;        // deadline degrades to partial results
   bool mmap = false;
   bool verify = true;    // --no-verify: skip eager segment CRC sweep
@@ -182,6 +187,25 @@ docs/clustering.md.
 )");
 }
 
+/// Strict numeric flag value: the whole of `text` must be a number that
+/// `*out`'s type can hold. Integer flags are counts, sizes, durations,
+/// ports or seeds, so negative values are rejected too; real values must
+/// be finite. `*out` is untouched on failure.
+template <typename T>
+bool ParseNumber(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(text, end, parsed);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(parsed)) return false;
+  } else if constexpr (std::is_signed_v<T>) {
+    if (parsed < 0) return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -189,6 +213,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* value = nullptr;
+    bool valid = true;
     if (arg == "--out" && (value = next())) {
       flags->out = value;
     } else if (arg == "--catalog" && (value = next())) {
@@ -204,33 +229,33 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--verify-csv" && (value = next())) {
       flags->verify_csv.push_back(value);
     } else if (arg == "--threshold" && (value = next())) {
-      flags->threshold = std::atof(value);
+      valid = ParseNumber(value, &flags->threshold);
     } else if (arg == "--topk" && (value = next())) {
-      flags->topk = std::atoi(value);
+      valid = ParseNumber(value, &flags->topk);
     } else if (arg == "--shards" && (value = next())) {
-      flags->shards = std::atoi(value);
+      valid = ParseNumber(value, &flags->shards);
     } else if (arg == "--deadline-us" && (value = next())) {
-      flags->deadline_us = static_cast<uint64_t>(std::atoll(value));
+      valid = ParseNumber(value, &flags->deadline_us);
     } else if (arg == "--tile-size" && (value = next())) {
-      flags->tile_size = static_cast<size_t>(std::atoll(value));
+      valid = ParseNumber(value, &flags->tile_size);
     } else if (arg == "--bind" && (value = next())) {
       flags->bind = value;
     } else if (arg == "--port" && (value = next())) {
-      flags->port = std::atoi(value);
+      valid = ParseNumber(value, &flags->port);
     } else if (arg == "--port-file" && (value = next())) {
       flags->port_file = value;
     } else if (arg == "--reactors" && (value = next())) {
-      flags->reactors = std::atoi(value);
+      valid = ParseNumber(value, &flags->reactors);
     } else if (arg == "--dispatchers" && (value = next())) {
-      flags->dispatchers = std::atoi(value);
+      valid = ParseNumber(value, &flags->dispatchers);
     } else if (arg == "--batch-max" && (value = next())) {
-      flags->batch_max = std::atoi(value);
+      valid = ParseNumber(value, &flags->batch_max);
     } else if (arg == "--linger-us" && (value = next())) {
-      flags->linger_us = static_cast<uint64_t>(std::atoll(value));
+      valid = ParseNumber(value, &flags->linger_us);
     } else if (arg == "--max-pending" && (value = next())) {
-      flags->max_pending = std::atoi(value);
+      valid = ParseNumber(value, &flags->max_pending);
     } else if (arg == "--max-in-flight" && (value = next())) {
-      flags->max_in_flight = std::atoi(value);
+      valid = ParseNumber(value, &flags->max_in_flight);
     } else if (arg == "--partial") {
       flags->partial = true;
     } else if (arg == "--quarantine") {
@@ -242,20 +267,24 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--no-madvise") {
       flags->madvise = false;
     } else if (arg == "--partitions" && (value = next())) {
-      flags->partitions = std::atoi(value);
+      valid = ParseNumber(value, &flags->partitions);
     } else if (arg == "--hashes" && (value = next())) {
-      flags->num_hashes = std::atoi(value);
+      valid = ParseNumber(value, &flags->num_hashes);
     } else if (arg == "--tree-depth" && (value = next())) {
-      flags->tree_depth = std::atoi(value);
+      valid = ParseNumber(value, &flags->tree_depth);
     } else if (arg == "--min-size" && (value = next())) {
-      flags->min_domain_size = static_cast<size_t>(std::atoll(value));
+      valid = ParseNumber(value, &flags->min_domain_size);
     } else if (arg == "--seed" && (value = next())) {
-      flags->seed = static_cast<uint64_t>(std::atoll(value));
+      valid = ParseNumber(value, &flags->seed);
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", arg.c_str());
       return false;
     } else {
       flags->positional.push_back(arg);
+    }
+    if (!valid) {
+      std::fprintf(stderr, "invalid value for %s: %s\n", arg.c_str(), value);
+      return false;
     }
   }
   return true;
@@ -679,7 +708,7 @@ int RunStats(const Flags& flags) {
         "%s probe kernel)%s\n",
         static_cast<unsigned long long>(filter->num_blocks()),
         static_cast<unsigned long long>(partition_blocks),
-        probe_filter_internal::ActiveBlockProbeName(),
+        ActiveKernelOps().name,
         filter->is_view() ? ", mmap-served" : "");
   } else {
     std::printf("probe filter: none (built without or pre-filter image)\n");
@@ -881,8 +910,7 @@ int RunServe(const Flags& flags) {
       static_cast<size_t>(manifest.value().num_shards);
   manager_options.serving.base.base.num_hashes =
       static_cast<int>(manifest.value().num_hashes);
-  manager_options.serving.max_in_flight_batches =
-      flags.max_in_flight > 0 ? static_cast<size_t>(flags.max_in_flight) : 0;
+  manager_options.serving.max_in_flight_batches = flags.max_in_flight;
   manager_options.serving.partial_results = flags.partial;
   manager_options.open.verify_checksums = flags.verify;
   manager_options.open.apply_madvise = flags.madvise;
@@ -892,12 +920,12 @@ int RunServe(const Flags& flags) {
 
   serve::ServerOptions options;
   options.bind_address = flags.bind;
-  options.port = static_cast<uint16_t>(flags.port);
+  options.port = flags.port;
   options.num_reactors = flags.reactors;
   options.num_dispatchers = flags.dispatchers;
-  options.batch_max = static_cast<size_t>(flags.batch_max);
+  options.batch_max = flags.batch_max;
   options.batch_linger_us = flags.linger_us;
-  options.max_pending = static_cast<size_t>(flags.max_pending);
+  options.max_pending = flags.max_pending;
   options.default_deadline_us = flags.deadline_us;
 
   serve::Server::Hooks hooks;
