@@ -95,12 +95,16 @@ void BM_TunerOptimize(benchmark::State& state) {
   Tuner::Options options;
   options.max_b = 32;
   options.max_r = 8;
-  options.enable_cache = false;
   auto tuner = std::move(Tuner::Create(options)).value();
+  // Every iteration misses the memo: 49 ratios times 4,000 thresholds
+  // give ~196k distinct keys before one repeats, and the memo holds at
+  // most Tuner::kMaxCacheEntries of them.
   double ratio = 1.0;
+  double t_star = 0.3;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tuner->Tune(ratio * 50, 50, 0.5));
-    ratio = ratio < 100 ? ratio * 1.1 : 1.0;  // defeat any caching
+    benchmark::DoNotOptimize(tuner->Tune(ratio * 50, 50, t_star));
+    ratio = ratio < 100 ? ratio * 1.1 : 1.0;
+    if (ratio == 1.0) t_star = t_star < 0.7 ? t_star + 1e-4 : 0.3;
   }
 }
 BENCHMARK(BM_TunerOptimize);

@@ -7,15 +7,19 @@
 
 namespace lshensemble {
 
+namespace {
+
+/// Seed of the pad minima every AsymMinhash index draws.
+constexpr uint64_t kPadSeed = 0x5eed5eed5eed5eedULL;
+
+}  // namespace
+
 Status AsymMinhashOptions::Validate() const {
   if (num_hashes < 1 || tree_depth < 1) {
     return Status::InvalidArgument("num_hashes and tree_depth must be >= 1");
   }
   if (num_hashes % tree_depth != 0) {
     return Status::InvalidArgument("tree_depth must divide num_hashes");
-  }
-  if (integration_nodes < 8) {
-    return Status::InvalidArgument("integration_nodes must be >= 8");
   }
   return Status::OK();
 }
@@ -87,7 +91,7 @@ Result<AsymMinhash> AsymMinhash::Builder::Build() && {
     std::vector<uint64_t> slots = record.signature.values();
     for (size_t slot = 0; slot < slots.size(); ++slot) {
       const uint64_t pad_min = SamplePadMinimum(
-          options_.pad_seed, record.id, static_cast<int>(slot), pad_count);
+          kPadSeed, record.id, static_cast<int>(slot), pad_count);
       if (pad_min < slots[slot]) slots[slot] = pad_min;
     }
     auto padded = MinHash::FromSlots(family_, std::move(slots));
@@ -98,7 +102,6 @@ Result<AsymMinhash> AsymMinhash::Builder::Build() && {
   Tuner::Options tuner_options;
   tuner_options.max_b = num_trees;
   tuner_options.max_r = options_.tree_depth;
-  tuner_options.integration_nodes = options_.integration_nodes;
   auto tuner = Tuner::Create(tuner_options);
   if (!tuner.ok()) return tuner.status();
 

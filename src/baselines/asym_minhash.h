@@ -39,8 +39,6 @@ namespace lshensemble {
 struct AsymMinhashOptions {
   int num_hashes = 256;
   int tree_depth = 8;  ///< forest depth; num_hashes / tree_depth trees
-  int integration_nodes = 256;
-  uint64_t pad_seed = 0x5eed5eed5eed5eedULL;
 
   Status Validate() const;
 };

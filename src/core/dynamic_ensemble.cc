@@ -10,17 +10,23 @@
 
 namespace lshensemble {
 
-Status DynamicEnsembleOptions::Validate() const {
-  LSHE_RETURN_IF_ERROR(base.Validate());
-  if (rebuild_fraction <= 0.0) {
-    return Status::InvalidArgument("rebuild_fraction must be > 0");
-  }
-  return Status::OK();
+namespace {
+
+/// Share of the indexed domain count the delta must reach to rebuild.
+constexpr double kRebuildFraction = 0.1;
+
+}  // namespace
+
+bool RebuildDue(size_t delta, size_t indexed,
+                const DynamicEnsembleOptions& options) {
+  if (delta < options.min_delta_for_rebuild) return false;
+  return static_cast<double>(delta) >=
+         kRebuildFraction * static_cast<double>(indexed);
 }
 
 Result<DynamicLshEnsemble> DynamicLshEnsemble::Create(
     DynamicEnsembleOptions options, std::shared_ptr<const HashFamily> family) {
-  LSHE_RETURN_IF_ERROR(options.Validate());
+  LSHE_RETURN_IF_ERROR(options.base.Validate());
   if (family == nullptr) {
     return Status::InvalidArgument("family must not be null");
   }
@@ -46,7 +52,7 @@ Status DynamicLshEnsemble::Insert(uint64_t id, size_t size,
   // A re-insert after Remove(): the stale indexed entry stays tombstoned;
   // the new version is authoritative in the delta until the next rebuild.
   AppendDelta(id, size, std::move(signature));
-  if (ShouldRebuild()) {
+  if (RebuildDue(delta_.size(), indexed_count_, options_)) {
     return Flush();
   }
   return Status::OK();
@@ -423,12 +429,6 @@ SignatureView DynamicLshEnsemble::FindSignature(uint64_t id,
     }
   }
   return {};
-}
-
-bool DynamicLshEnsemble::ShouldRebuild() const {
-  if (delta_.size() < options_.min_delta_for_rebuild) return false;
-  return static_cast<double>(delta_.size()) >=
-         options_.rebuild_fraction * static_cast<double>(indexed_count_);
 }
 
 }  // namespace lshensemble

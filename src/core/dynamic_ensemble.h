@@ -11,9 +11,10 @@
 //                uses), so they are searchable immediately.
 //  * Remove()  — removals tombstone indexed domains; tombstones filter
 //                query results until the next rebuild.
-//  * Flush()   — rebuilds the ensemble over all live domains (triggered
-//                automatically once the delta outgrows
-//                rebuild_fraction x indexed size).
+//  * Flush()   — rebuilds the ensemble over all live domains. An insert
+//                triggers it automatically once the delta holds at least
+//                min_delta_for_rebuild domains and at least 10% of the
+//                indexed domain count (RebuildDue).
 //
 // The structure retains every live domain's size and signature (the same
 // side-car a TopKSearcher needs) — that is what makes rebuilds possible
@@ -50,15 +51,16 @@ namespace lshensemble {
 struct DynamicEnsembleOptions {
   /// Options used for every (re)build of the underlying ensemble.
   LshEnsembleOptions base;
-  /// Rebuild when the delta buffer exceeds this fraction of the indexed
-  /// domain count.
-  double rebuild_fraction = 0.1;
-  /// ... but never before the delta holds at least this many domains
-  /// (avoids rebuild storms while the index is small).
+  /// Never rebuild automatically before the delta holds at least this
+  /// many domains (avoids rebuild storms while the index is small).
   size_t min_delta_for_rebuild = 1024;
-
-  Status Validate() const;
 };
+
+/// \brief The automatic rebuild rule, shared by the dynamic and sharded
+/// engines: true once `delta` domains wait unindexed, at least
+/// options.min_delta_for_rebuild of them and at least 10% of `indexed`.
+bool RebuildDue(size_t delta, size_t indexed,
+                const DynamicEnsembleOptions& options);
 
 /// \brief Mutable domain-search index: immediate-visibility inserts,
 /// tombstoned removals, automatic rebuilds.
@@ -214,7 +216,6 @@ class DynamicLshEnsemble {
   /// Add a validated record to records_ and to the end of the delta
   /// arrays (Insert and the snapshot restore).
   void AppendDelta(uint64_t id, size_t size, MinHash signature);
-  bool ShouldRebuild() const;
   /// Rebuild over all live records with `build_options` (Flush plumbing).
   Status Rebuild(const LshEnsembleOptions& build_options);
   /// Index into mapped_.ids for `id`, or mapped_.n when absent.

@@ -32,8 +32,7 @@ std::string ManifestPath(const std::string& dir) {
 }  // namespace
 
 Status ShardedEnsembleOptions::Validate() const {
-  LSHE_RETURN_IF_ERROR(base.Validate());
-  LSHE_RETURN_IF_ERROR(topk.Validate());
+  LSHE_RETURN_IF_ERROR(base.base.Validate());
   if (num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
@@ -98,9 +97,7 @@ bool ShardedEnsemble::ShouldRebuild() const {
   // give.
   const size_t delta = counters_->delta.load(std::memory_order_relaxed);
   const size_t indexed = counters_->indexed.load(std::memory_order_relaxed);
-  if (delta < options_.base.min_delta_for_rebuild) return false;
-  return static_cast<double>(delta) >=
-         options_.base.rebuild_fraction * static_cast<double>(indexed);
+  return RebuildDue(delta, indexed, options_.base);
 }
 
 Status ShardedEnsemble::Insert(uint64_t id, size_t size, MinHash signature) {
@@ -538,7 +535,7 @@ Status ShardedEnsemble::BatchSearch(std::span<const TopKQuery> queries,
   LSHE_ASSIGN_OR_RETURN(slot, TryAdmit());
   // The searcher's lockstep descent drives BatchQuery() above every
   // round; its per-query retire check IS the cross-shard k-th-best merge.
-  const TopKSearcher searcher(this, options_.topk);
+  const TopKSearcher searcher(this);
   return searcher.BatchSearch(queries, k, nullptr, outs);
 }
 

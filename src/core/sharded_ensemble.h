@@ -86,8 +86,6 @@ struct ShardedEnsembleOptions {
   DynamicEnsembleOptions base;
   /// Number of shards S; hash(id) mod S picks a domain's shard.
   size_t num_shards = 1;
-  /// Ranking options used by BatchSearch().
-  TopKSearcher::Options topk;
   /// Admission bound: the number of BatchQuery/BatchSearch calls allowed
   /// in flight at once (0 = unbounded). A call past the bound is shed
   /// immediately with Status::Unavailable — it does no shard work — so an

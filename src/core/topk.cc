@@ -43,39 +43,14 @@ SignatureView SketchStore::FindSignature(uint64_t id, size_t* size) const {
   return it->second.signature.view();
 }
 
-Status TopKSearcher::Options::Validate() const {
-  if (initial_threshold <= 0.0 || initial_threshold > 1.0) {
-    return Status::InvalidArgument("initial_threshold must be in (0, 1]");
-  }
-  if (decay <= 0.0 || decay >= 1.0) {
-    return Status::InvalidArgument("decay must be in (0, 1)");
-  }
-  if (min_threshold <= 0.0 || min_threshold > initial_threshold) {
-    return Status::InvalidArgument(
-        "min_threshold must be in (0, initial_threshold]");
-  }
-  return Status::OK();
-}
-
 TopKSearcher::TopKSearcher(const LshEnsemble* ensemble,
                            const SketchStore* store)
-    : TopKSearcher(ensemble, store, Options()) {}
-
-TopKSearcher::TopKSearcher(const LshEnsemble* ensemble,
-                           const SketchStore* store, Options options)
-    : ensemble_(ensemble), store_(store), options_(options) {}
+    : ensemble_(ensemble), store_(store) {}
 
 TopKSearcher::TopKSearcher(const DynamicLshEnsemble* index)
-    : TopKSearcher(index, Options()) {}
+    : dynamic_(index) {}
 
-TopKSearcher::TopKSearcher(const DynamicLshEnsemble* index, Options options)
-    : dynamic_(index), options_(options) {}
-
-TopKSearcher::TopKSearcher(const ShardedEnsemble* index)
-    : TopKSearcher(index, Options()) {}
-
-TopKSearcher::TopKSearcher(const ShardedEnsemble* index, Options options)
-    : sharded_(index), options_(options) {}
+TopKSearcher::TopKSearcher(const ShardedEnsemble* index) : sharded_(index) {}
 
 Status TopKSearcher::EngineBatchQuery(std::span<const QuerySpec> specs,
                                       QueryContext* ctx,
@@ -116,6 +91,12 @@ Result<std::vector<TopKResult>> TopKSearcher::Search(const MinHash& query,
 
 namespace {
 
+// The descent schedule (see topk.h): first threshold, per-round decay,
+// floor.
+constexpr double kInitialThreshold = 0.95;
+constexpr double kDecay = 0.7;
+constexpr double kMinThreshold = 0.05;
+
 /// Ranking order: descending estimate, ties by ascending id.
 inline bool BetterResult(const TopKResult& a, const TopKResult& b) {
   if (a.estimated_containment != b.estimated_containment) {
@@ -136,7 +117,6 @@ Status TopKSearcher::BatchSearch(std::span<const TopKQuery> queries, size_t k,
   if (k < 1) {
     return Status::InvalidArgument("k must be >= 1");
   }
-  LSHE_RETURN_IF_ERROR(options_.Validate());
   const size_t count = queries.size();
   if (count == 0) return Status::OK();
   // A sharded binding pins scratch per shard, so it never touches `ctx`.
@@ -144,9 +124,9 @@ Status TopKSearcher::BatchSearch(std::span<const TopKQuery> queries, size_t k,
     return Status::InvalidArgument("ctx and outs must not be null");
   }
 
-  // Per-query descent state. All queries follow the same threshold
-  // schedule (it depends only on the options), which is what makes the
-  // lockstep rounds below produce exactly the per-query Search() answers.
+  // Per-query descent state. All queries follow the same fixed threshold
+  // schedule, which is what makes the lockstep rounds below produce
+  // exactly the per-query Search() answers.
   struct State {
     size_t q = 0;
     double qd = 0.0;
@@ -174,7 +154,7 @@ Status TopKSearcher::BatchSearch(std::span<const TopKQuery> queries, size_t k,
   active_index.reserve(count);
   std::vector<std::vector<uint64_t>> candidates(count);
 
-  double threshold = options_.initial_threshold;
+  double threshold = kInitialThreshold;
   while (true) {
     specs.clear();
     active_index.clear();
@@ -188,7 +168,7 @@ Status TopKSearcher::BatchSearch(std::span<const TopKQuery> queries, size_t k,
     // One batched probe serves every still-active descent this round.
     LSHE_RETURN_IF_ERROR(EngineBatchQuery(specs, ctx, candidates.data()));
 
-    const bool at_floor = threshold <= options_.min_threshold;
+    const bool at_floor = threshold <= kMinThreshold;
     for (size_t j = 0; j < active_index.size(); ++j) {
       State& state = states[active_index[j]];
       const MinHash& query = *queries[active_index[j]].query;
@@ -226,7 +206,7 @@ Status TopKSearcher::BatchSearch(std::span<const TopKQuery> queries, size_t k,
       }
     }
     if (at_floor) break;
-    threshold = std::max(threshold * options_.decay, options_.min_threshold);
+    threshold = std::max(threshold * kDecay, kMinThreshold);
   }
 
   for (size_t i = 0; i < count; ++i) {

@@ -5,9 +5,12 @@
 // module provides the complementary form: find the k domains with the
 // highest (estimated) containment of the query.
 //
-// Strategy: descend through containment thresholds (geometric decay).
-// At each threshold the ensemble returns every candidate whose containment
-// plausibly reaches it; new candidates are scored by sketch-estimated
+// Strategy: descend through containment thresholds on a fixed geometric
+// schedule: 0.95 first, each round 0.7x the last, and a last round at the
+// 0.05 floor (0.95, 0.665, 0.466, ..., 0.055, 0.05: 10 rounds at most).
+// The floor keeps a query that overlaps fewer than k domains from
+// scanning the whole index. At each threshold the ensemble returns every
+// candidate whose containment plausibly reaches it; new candidates are scored by sketch-estimated
 // containment (Jaccard estimate converted through Eq. 6 with the
 // candidate's exact stored size). Descent stops as soon as the k-th best
 // estimate is at least the current threshold — any domain not yet
@@ -101,28 +104,12 @@ struct TopKQuery {
 /// its own QueryContext, like any batched query).
 class TopKSearcher {
  public:
-  struct Options {
-    /// First containment threshold probed.
-    double initial_threshold = 0.95;
-    /// Multiplicative threshold decay between rounds, in (0, 1).
-    double decay = 0.7;
-    /// Descent floor: below this threshold the search returns its best
-    /// effort (protects against scanning the whole index when fewer than
-    /// k overlapping domains exist).
-    double min_threshold = 0.05;
-
-    Status Validate() const;
-  };
-
-  /// Binds with default options.
+  /// Binds to an ensemble plus the sketch store that ranks its domains.
   TopKSearcher(const LshEnsemble* ensemble, const SketchStore* store);
-  TopKSearcher(const LshEnsemble* ensemble, const SketchStore* store,
-               Options options);
   /// Binds to a dynamic index: candidates come from its batched query path
   /// (indexed + delta, minus tombstones) and ranking data from its records
   /// side-car. No separate SketchStore needed.
   explicit TopKSearcher(const DynamicLshEnsemble* index);
-  TopKSearcher(const DynamicLshEnsemble* index, Options options);
   /// Binds to a sharded serving layer: every descent round's candidate
   /// probe is one scatter/gather wave over the shards, and ranking data
   /// comes from the owning shard's side-car — the cross-shard k-th-best
@@ -130,7 +117,6 @@ class TopKSearcher {
   /// `ctx` is unused on this path (shards pin their own scratch) and may
   /// be null. Must not be driven from inside a thread-pool worker.
   explicit TopKSearcher(const ShardedEnsemble* index);
-  TopKSearcher(const ShardedEnsemble* index, Options options);
 
   /// \brief The k domains with the highest estimated containment of the
   /// query, sorted by descending estimate (ties by ascending id). A thin
@@ -175,7 +161,6 @@ class TopKSearcher {
   const SketchStore* store_ = nullptr;
   const DynamicLshEnsemble* dynamic_ = nullptr;
   const ShardedEnsemble* sharded_ = nullptr;
-  Options options_;
 };
 
 }  // namespace lshensemble

@@ -69,8 +69,6 @@ TunedParams Tuner::Tune(double x, double q, double t_star) const {
   assert(x > 0 && q > 0);
   assert(t_star >= 0.0 && t_star <= 1.0);
   const double ratio = x / q;
-  if (!options_.enable_cache) return Optimize(ratio, t_star);
-
   const uint64_t key = CacheKey(ratio, t_star);
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -80,6 +78,7 @@ TunedParams Tuner::Tune(double x, double q, double t_star) const {
   TunedParams params = Optimize(ratio, t_star);
   {
     std::unique_lock<std::shared_mutex> lock(mutex_);
+    if (cache_.size() >= kMaxCacheEntries) cache_.clear();
     cache_.emplace(key, params);
   }
   return params;

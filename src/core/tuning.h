@@ -56,17 +56,22 @@ struct TunedParams {
 /// multiply-adds rather than O(...) pow() calls. Results are cached keyed
 /// on the quantized (x/q, t*) pair; the cache is thread-safe. This realizes
 /// the paper's "the computation of (b, r) can be handled offline" as a
-/// lazily warmed memo table.
+/// lazily warmed memo table. Both key values come from the query (and so
+/// from the wire), so the memo holds at most kMaxCacheEntries keys and is
+/// cleared when full; answers do not change, because Optimize() is
+/// deterministic.
 class Tuner {
  public:
   struct Options {
     int max_b = 32;             ///< number of trees in the forest
     int max_r = 8;              ///< depth of each tree
     int integration_nodes = 256;  ///< lattice size per integral segment
-    bool enable_cache = true;
 
     Status Validate() const;
   };
+
+  /// Memo bound: about 64 B per key, so 4 MB at most per tuner.
+  static constexpr size_t kMaxCacheEntries = size_t{1} << 16;
 
   /// Returned by pointer because the internal cache makes Tuner immovable.
   static Result<std::unique_ptr<Tuner>> Create(const Options& options);

@@ -8,6 +8,14 @@
 
 namespace lshensemble {
 
+namespace {
+
+/// Below this many domains the pool dispatch costs more than it buys;
+/// sketch inline on the calling thread instead.
+constexpr size_t kMinParallelDomains = 16;
+
+}  // namespace
+
 ParallelSketcher::ParallelSketcher(std::shared_ptr<const HashFamily> family,
                                    SketcherOptions options)
     : family_(std::move(family)), options_(options) {
@@ -26,7 +34,7 @@ std::vector<MinHash> ParallelSketcher::SketchCorpus(
   auto sketch_one = [&](size_t i) {
     sketches[i] = Sketch(corpus.domain(i).values);
   };
-  if (options_.parallel && corpus.size() >= options_.min_parallel_domains) {
+  if (options_.parallel && corpus.size() >= kMinParallelDomains) {
     ThreadPool::Shared().ParallelFor(corpus.size(), sketch_one);
   } else {
     for (size_t i = 0; i < corpus.size(); ++i) sketch_one(i);
@@ -42,7 +50,7 @@ void ParallelSketcher::SketchSubset(const Corpus& corpus,
     const size_t i = indices[j];
     (*out)[i] = Sketch(corpus.domain(i).values);
   };
-  if (options_.parallel && indices.size() >= options_.min_parallel_domains) {
+  if (options_.parallel && indices.size() >= kMinParallelDomains) {
     ThreadPool::Shared().ParallelFor(indices.size(), sketch_one);
   } else {
     for (size_t j = 0; j < indices.size(); ++j) sketch_one(j);

@@ -25,11 +25,9 @@ class ShardedEnsemble;
 
 /// \brief Configuration of a ParallelSketcher.
 struct SketcherOptions {
-  /// Shard domains across the shared ThreadPool.
+  /// Shard domains across the shared ThreadPool (batches of 16 or more
+  /// domains; smaller batches sketch on the calling thread).
   bool parallel = true;
-  /// Below this many domains the pool dispatch costs more than it buys;
-  /// sketch inline on the calling thread instead.
-  size_t min_parallel_domains = 16;
 };
 
 /// \brief Sketches domains into MinHash signatures with the batched kernel,

@@ -781,7 +781,7 @@ class SnapshotIO {
       return Status::InvalidArgument(
           "snapshot holds no dynamic side-car (use OpenEnsembleMapped)");
     }
-    LSHE_RETURN_IF_ERROR(options.Validate());
+    LSHE_RETURN_IF_ERROR(options.base.Validate());
     if (options.base.num_hashes != snapshot->options_.num_hashes) {
       return Status::InvalidArgument(
           "options.base.num_hashes does not match the snapshot");

@@ -17,22 +17,25 @@ bool IsTransientOpenError(const Status& status) {
   return status.IsIOError() || status.IsUnavailable() || status.IsNotFound();
 }
 
+constexpr size_t kMaxOpenAttempts = 5;
+/// The first backoff; each retry doubles it.
+constexpr uint64_t kInitialBackoffUs = 1000;
+
 }  // namespace
 
 Status SnapshotManager::OpenWithRetry(
     const std::string& dir,
     std::shared_ptr<const ShardedEnsemble>* out) const {
-  const size_t attempts = std::max<size_t>(1, options_.max_open_attempts);
-  uint64_t backoff_us = options_.initial_backoff_us;
+  uint64_t backoff_us = kInitialBackoffUs;
   Status last = Status::OK();
-  for (size_t attempt = 0; attempt < attempts; ++attempt) {
+  for (size_t attempt = 0; attempt < kMaxOpenAttempts; ++attempt) {
     if (attempt > 0) {
       if (options_.backoff_sleep) {
         options_.backoff_sleep(backoff_us);
       } else {
         std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
       }
-      backoff_us = std::min(backoff_us * 2, options_.max_backoff_us);
+      backoff_us *= 2;
     }
     auto opened =
         ShardedEnsemble::OpenSnapshot(dir, options_.serving, options_.open);
@@ -45,7 +48,7 @@ Status SnapshotManager::OpenWithRetry(
     if (!IsTransientOpenError(last)) return last;
   }
   return last.WithMessagePrefix(
-      "snapshot open failed after " + std::to_string(attempts) +
+      "snapshot open failed after " + std::to_string(kMaxOpenAttempts) +
       " attempts");
 }
 

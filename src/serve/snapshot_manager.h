@@ -27,9 +27,10 @@
 //    nothing blocks on it.
 //
 // Transient open failures — a directory still being renamed into place,
-// NFS hiccups — retry with capped exponential backoff before SwapTo
-// gives up; corruption and contract errors fail immediately (retrying
-// cannot fix a bad checksum). The old generation serves throughout.
+// NFS hiccups — retry before SwapTo gives up: 5 attempts in all, with
+// backoffs of 1, 2, 4 and 8 ms between them (15 ms of waiting at most).
+// Corruption and contract errors fail immediately (retrying cannot fix a
+// bad checksum). The old generation serves throughout.
 //
 // Thread safety: all public methods are safe to call concurrently.
 // Acquire() is a mutex-guarded pointer copy (microseconds); opens happen
@@ -62,13 +63,6 @@ class SnapshotManager {
     ShardedEnsembleOptions serving;
     /// Validation depth + Env for every open.
     SnapshotOpenOptions open;
-    /// Open retry policy for TRANSIENT failures (IOError, Unavailable,
-    /// NotFound — a snapshot still being published). Attempt k sleeps
-    /// initial_backoff_us * 2^(k-1), capped at max_backoff_us, before
-    /// retrying; corruption/contract errors never retry.
-    size_t max_open_attempts = 5;
-    uint64_t initial_backoff_us = 1000;
-    uint64_t max_backoff_us = 100000;
     /// Test hook: called instead of sleeping when set (receives the
     /// backoff the manager would have slept, in microseconds).
     std::function<void(uint64_t)> backoff_sleep;
@@ -112,8 +106,9 @@ class SnapshotManager {
   size_t CollectRetired() { return retired_count(); }
 
  private:
-  /// Full open of `dir` with capped-exponential-backoff retries on
-  /// transient errors.
+  /// Full open of `dir`, retried on TRANSIENT failures (IOError,
+  /// Unavailable, NotFound — a snapshot still being published) on the
+  /// schedule above. Corruption and contract errors never retry.
   Status OpenWithRetry(const std::string& dir,
                        std::shared_ptr<const ShardedEnsemble>* out) const;
 

@@ -54,9 +54,6 @@ class DynamicEnsembleTest : public ::testing::Test {
 TEST_F(DynamicEnsembleTest, CreateValidation) {
   EXPECT_FALSE(DynamicLshEnsemble::Create(SmallOptions(), nullptr).ok());
   DynamicEnsembleOptions bad = SmallOptions();
-  bad.rebuild_fraction = 0.0;
-  EXPECT_FALSE(DynamicLshEnsemble::Create(bad, family_).ok());
-  bad = SmallOptions();
   bad.base.num_hashes = 64;  // mismatches the 128-hash family
   EXPECT_FALSE(DynamicLshEnsemble::Create(bad, family_).ok());
   EXPECT_TRUE(DynamicLshEnsemble::Create(SmallOptions(), family_).ok());
@@ -184,7 +181,6 @@ TEST_F(DynamicEnsembleTest, ReinsertAfterRemoveUsesNewVersion) {
 TEST_F(DynamicEnsembleTest, AutoRebuildTriggers) {
   DynamicEnsembleOptions options = SmallOptions();
   options.min_delta_for_rebuild = 32;
-  options.rebuild_fraction = 0.25;
   auto index = DynamicLshEnsemble::Create(options, family_).value();
   // First 32 inserts: delta reaches min threshold with indexed_count 0 ->
   // rebuild on the 32nd insert.
@@ -193,7 +189,7 @@ TEST_F(DynamicEnsembleTest, AutoRebuildTriggers) {
   EXPECT_EQ(index.delta_size(), 0u);
   EXPECT_EQ(index.indexed_size(), 32u);
 
-  // Now a rebuild needs max(32, 0.25 * 32) = 32 more inserts.
+  // Now a rebuild needs max(32, 0.1 * 32) = 32 more inserts.
   for (size_t i = 32; i < 63; ++i) ASSERT_TRUE(InsertDomain(index, i).ok());
   EXPECT_EQ(index.delta_size(), 31u);
   ASSERT_TRUE(InsertDomain(index, 63).ok());

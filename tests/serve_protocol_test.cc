@@ -3,7 +3,8 @@
 // type round-trips exactly, a frame split at *every* byte boundary
 // reassembles, and every corruption class (oversized prefix, zero-length
 // frame, unknown tag, truncated body, trailing garbage, lying count
-// field) is rejected with Corruption — never a crash.
+// field) is rejected with Corruption — never a crash. A seeded mutation
+// loop then throws thousands of damaged streams at both decoders.
 
 #include "serve/protocol.h"
 
@@ -14,6 +15,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/random.h"
+#include "util/result.h"
 #include "util/status.h"
 
 namespace lshensemble {
@@ -362,6 +365,157 @@ TEST(ServeProtocolTest, DecodeRejectsLyingSlotCount) {
   payload[44] = static_cast<char>(0x7f);
   auto decoded = DecodeMessage(payload);
   EXPECT_TRUE(decoded.status().IsCorruption());
+}
+
+// ------------------------------------------------------------ fuzzing
+
+// One valid frame of every message type: the seeds of the mutation loop.
+std::vector<std::string> SeedFrames() {
+  std::vector<std::string> frames(9);
+  QueryRequest query;
+  query.request_id = 11;
+  query.family_seed = 5;
+  query.query_size = 40;
+  query.deadline_us = 100;
+  query.slots = {1, 2, 3, 4, 5, 6, 7, 8};
+  EncodeQueryRequest(query, &frames[0]);
+  TopKRequest topk;
+  topk.request_id = 12;
+  topk.family_seed = 5;
+  topk.k = 3;
+  topk.slots = query.slots;
+  EncodeTopKRequest(topk, &frames[1]);
+  EncodeStatsRequest(StatsRequest{13}, &frames[2]);
+  EncodeReloadRequest(ReloadRequest{14}, &frames[3]);
+  EncodeQueryResponse(QueryResponse{15, kResponseFlagPartial, {9, 10, 11}},
+                      &frames[4]);
+  EncodeTopKResponse(TopKResponse{16, {{9, 0.75}, {10, 0.5}}}, &frames[5]);
+  EncodeStatsResponse(StatsResponse{17, 4, 100, 90, 10, 2, 3}, &frames[6]);
+  EncodeReloadResponse(ReloadResponse{18, 4}, &frames[7]);
+  EncodeErrorResponse(ErrorResponse{19, 3, 1, "overloaded"}, &frames[8]);
+  return frames;
+}
+
+// Writes `value` little-endian over the 4 bytes at `offset`, clipped at
+// the end of `bytes`.
+void Overwrite32(std::string* bytes, size_t offset, uint32_t value) {
+  for (size_t i = 0; i < 4 && offset + i < bytes->size(); ++i) {
+    (*bytes)[offset + i] = static_cast<char>(value >> (8 * i));
+  }
+}
+
+// A length or count a hostile peer might send: huge, just past the
+// frame ceiling, small enough to look plausible, or random.
+uint32_t HostileU32(Rng* rng) {
+  switch (rng->NextBounded(4)) {
+    case 0:
+      return UINT32_MAX;
+    case 1:
+      return static_cast<uint32_t>(kDefaultMaxFrameBytes) + 1;
+    case 2:
+      return static_cast<uint32_t>(rng->NextBounded(64));
+    default:
+      return static_cast<uint32_t>(rng->Next());
+  }
+}
+
+// One seeded mutation of seed frame `type`.
+std::string Mutate(const std::vector<std::string>& seeds, size_t type,
+                   Rng* rng) {
+  std::string bytes = seeds[type];
+  switch (rng->NextBounded(5)) {
+    case 0: {  // bit flips anywhere, prefix included
+      const uint64_t flips = 1 + rng->NextBounded(4);
+      for (uint64_t i = 0; i < flips; ++i) {
+        bytes[rng->NextBounded(bytes.size())] ^=
+            static_cast<char>(1u << rng->NextBounded(8));
+      }
+      break;
+    }
+    case 1:  // truncation
+      bytes.resize(rng->NextBounded(bytes.size()));
+      break;
+    case 2:  // length prefix
+      Overwrite32(&bytes, 0, HostileU32(rng));
+      break;
+    case 3: {  // a count or length field: any 4 bytes after the type tag
+      const size_t body = kFrameHeaderBytes + 1;
+      Overwrite32(&bytes, body + rng->NextBounded(bytes.size() - body),
+                  HostileU32(rng));
+      break;
+    }
+    default: {  // splice: a prefix of this frame, a suffix of another
+      const std::string& other = seeds[rng->NextBounded(seeds.size())];
+      bytes.resize(rng->NextBounded(bytes.size() + 1));
+      bytes.append(other, rng->NextBounded(other.size()));
+      break;
+    }
+  }
+  return bytes;
+}
+
+// A decoder outcome a peer's bytes may produce: a message, or a clean
+// rejection.
+void ExpectCleanOutcome(const Result<Message>& message) {
+  if (message.ok()) return;
+  EXPECT_TRUE(message.status().IsCorruption() ||
+              message.status().IsInvalidArgument())
+      << message.status().ToString();
+}
+
+// Feeds `stream` to `reader` cut at random split points and decodes
+// every frame it yields; returns how many decoded.
+size_t FeedAndDecode(std::string_view stream, Rng* rng, FrameReader* reader) {
+  size_t decoded = 0;
+  size_t pos = 0;
+  while (pos < stream.size()) {
+    const size_t chunk = 1 + rng->NextBounded(stream.size() - pos);
+    reader->Append(stream.substr(pos, chunk));
+    pos += chunk;
+    std::string_view payload;
+    while (reader->Next(&payload)) {
+      const Result<Message> message = DecodeMessage(payload);
+      ExpectCleanOutcome(message);
+      decoded += message.ok() ? 1 : 0;
+    }
+  }
+  return decoded;
+}
+
+// Seeded mutation fuzzing of both decoders, in the style of the snapshot
+// fuzz sweep: bit flips, truncations, hostile length prefixes and count
+// fields, and spliced frames. Every mutated stream must decode or fail
+// cleanly, never crash or read out of bounds (the asan build runs it).
+TEST(ServeProtocolTest, SeededMutationFuzz) {
+  const std::vector<std::string> seeds = SeedFrames();
+  Rng rng(20251019);
+  size_t decoded = 0;
+  size_t poisoned = 0;
+  for (int round = 0; round < 500; ++round) {
+    for (size_t type = 0; type < seeds.size(); ++type) {
+      const std::string stream = Mutate(seeds, type, &rng);
+      // The payload straight into the decoder too, whatever the prefix
+      // says, so truncated and spliced bodies reach it.
+      if (stream.size() > kFrameHeaderBytes) {
+        ExpectCleanOutcome(
+            DecodeMessage(std::string_view(stream).substr(kFrameHeaderBytes)));
+      }
+      FrameReader reader(/*max_frame_bytes=*/4096);
+      decoded += FeedAndDecode(stream, &rng, &reader);
+      if (reader.status().ok()) continue;
+      ++poisoned;
+      EXPECT_TRUE(reader.status().IsCorruption());
+      // A poisoned reader ignores even a well-formed frame.
+      reader.Append(seeds[type]);
+      std::string_view payload;
+      EXPECT_FALSE(reader.Next(&payload));
+      EXPECT_TRUE(reader.status().IsCorruption());
+    }
+  }
+  // The mutations reached both sides: frames that still decode, and
+  // streams that poison the reader.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(poisoned, 0u);
 }
 
 }  // namespace

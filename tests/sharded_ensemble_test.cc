@@ -226,10 +226,8 @@ TEST_F(ShardedEnsembleTest, BatchSearchMatchesUnshardedTopK) {
 TEST_F(ShardedEnsembleTest, AutoRebuildMatchesUnshardedSchedule) {
   DynamicEnsembleOptions reference_options = ShardOptions(1).base;
   reference_options.min_delta_for_rebuild = 32;
-  reference_options.rebuild_fraction = 0.25;
   ShardedEnsembleOptions sharded_options = ShardOptions(4);
   sharded_options.base.min_delta_for_rebuild = 32;
-  sharded_options.base.rebuild_fraction = 0.25;
 
   auto reference =
       DynamicLshEnsemble::Create(reference_options, family_).value();

@@ -192,9 +192,6 @@ TEST_F(SnapshotSwapTest, DisplacedGenerationRetiresWithItsLastReader) {
 
 TEST_F(SnapshotSwapTest, TransientOpenErrorsRetryWithCappedBackoff) {
   SnapshotManager::Options options = ManagerOptions();
-  options.max_open_attempts = 4;
-  options.initial_backoff_us = 1000;
-  options.max_backoff_us = 3000;
   std::vector<uint64_t> backoffs;
   options.backoff_sleep = [&](uint64_t us) { backoffs.push_back(us); };
 
@@ -202,10 +199,10 @@ TEST_F(SnapshotSwapTest, TransientOpenErrorsRetryWithCappedBackoff) {
   const Status status = manager.SwapTo(ProcessTempPath("swap_no_such_dir"));
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsNotFound());
-  EXPECT_NE(status.message().find("4 attempts"), std::string::npos)
+  EXPECT_NE(status.message().find("5 attempts"), std::string::npos)
       << status.ToString();
-  // Doubling from initial, capped at max: one sleep before each retry.
-  EXPECT_EQ(backoffs, (std::vector<uint64_t>{1000, 2000, 3000}));
+  // Doubling from 1 ms: one sleep before each retry.
+  EXPECT_EQ(backoffs, (std::vector<uint64_t>{1000, 2000, 4000, 8000}));
   EXPECT_FALSE(manager.serving());
 }
 
@@ -214,7 +211,6 @@ TEST_F(SnapshotSwapTest, TransientOpenErrorsRetryWithCappedBackoff) {
 TEST_F(SnapshotSwapTest, RetryPicksUpLatePublishedSnapshot) {
   const std::string dir = ProcessTempPath("swap_late_publish");
   SnapshotManager::Options options = ManagerOptions();
-  options.max_open_attempts = 3;
   size_t sleeps = 0;
   options.backoff_sleep = [&](uint64_t) {
     if (sleeps++ == 0) {

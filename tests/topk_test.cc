@@ -46,24 +46,6 @@ TEST(SketchStoreTest, RejectsDuplicatesAndInvalid) {
   EXPECT_TRUE(store.Add(3, 1, MinHash()).IsInvalidArgument());
 }
 
-// -------------------------------------------------------- options checks
-
-TEST(TopKOptionsTest, Validation) {
-  TopKSearcher::Options options;
-  EXPECT_TRUE(options.Validate().ok());
-  options.initial_threshold = 1.5;
-  EXPECT_FALSE(options.Validate().ok());
-  options = {};
-  options.decay = 1.0;
-  EXPECT_FALSE(options.Validate().ok());
-  options = {};
-  options.min_threshold = 0.0;
-  EXPECT_FALSE(options.Validate().ok());
-  options = {};
-  options.min_threshold = 0.99;  // above initial_threshold
-  EXPECT_FALSE(options.Validate().ok());
-}
-
 // ------------------------------------------------------------ end to end
 
 class TopKSearchTest : public ::testing::Test {
@@ -211,12 +193,6 @@ TEST_F(TopKSearchTest, InvalidArguments) {
 
   TopKSearcher unbound(nullptr, nullptr);
   EXPECT_TRUE(unbound.Search(sketch, 10, 5).status().IsFailedPrecondition());
-
-  TopKSearcher::Options bad;
-  bad.decay = 2.0;
-  TopKSearcher misconfigured(&*ensemble_, &store_, bad);
-  EXPECT_TRUE(
-      misconfigured.Search(sketch, 10, 5).status().IsInvalidArgument());
 }
 
 TEST_F(TopKSearchTest, EstimatedQuerySizeWorks) {

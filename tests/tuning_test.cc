@@ -125,7 +125,6 @@ TEST_P(TunerOptimality, MatchesExhaustiveSearch) {
   options.max_b = 16;
   options.max_r = 4;
   options.integration_nodes = 512;
-  options.enable_cache = false;
   auto tuner = std::move(Tuner::Create(options)).value();
   const TunedParams tuned = tuner->Tune(x, q, t_star);
 
@@ -159,7 +158,6 @@ TEST(TunerTest, HighThresholdPrefersSelectiveParams) {
 
 TEST(TunerTest, CacheHitsAreConsistent) {
   Tuner::Options options;
-  options.enable_cache = true;
   auto tuner = std::move(Tuner::Create(options)).value();
   const TunedParams first = tuner->Tune(1000, 10, 0.5);
   EXPECT_EQ(tuner->CacheSize(), 1u);
@@ -170,6 +168,31 @@ TEST(TunerTest, CacheHitsAreConsistent) {
   // A different threshold misses.
   tuner->Tune(1000, 10, 0.6);
   EXPECT_EQ(tuner->CacheSize(), 2u);
+}
+
+TEST(TunerTest, MemoIsBounded) {
+  // A 1x1 grid on the smallest lattice keeps each miss cheap.
+  Tuner::Options options;
+  options.max_b = 1;
+  options.max_r = 1;
+  options.integration_nodes = 8;
+  auto tuner = std::move(Tuner::Create(options)).value();
+  const TunedParams before = tuner->Tune(300, 100, 0.37);
+  // 20 ratios on the key's log2 lattice (1/4096 of a doubling) times
+  // 10,000 thresholds on its 1e-4 lattice: 200,000 distinct keys, the
+  // shape of traffic whose sizes and thresholds are all different.
+  for (int i = 0; i < 200000; ++i) {
+    const double ratio = std::exp2((i / 10000) / 4096.0);
+    const double t_star = (i % 10000) / 10000.0;
+    tuner->Tune(ratio * 100.0, 100.0, t_star);
+    ASSERT_LE(tuner->CacheSize(), Tuner::kMaxCacheEntries) << "key " << i;
+  }
+  // Clearing the memo does not change an answer.
+  const TunedParams after = tuner->Tune(300, 100, 0.37);
+  EXPECT_EQ(after.b, before.b);
+  EXPECT_EQ(after.r, before.r);
+  EXPECT_EQ(after.fp, before.fp);
+  EXPECT_EQ(after.fn, before.fn);
 }
 
 TEST(TunerTest, PredictedErrorsAreProbabilityMasses) {
@@ -189,11 +212,9 @@ TEST(TunerTest, LargerGridNeverHurts) {
   Tuner::Options small_options;
   small_options.max_b = 8;
   small_options.max_r = 4;
-  small_options.enable_cache = false;
   Tuner::Options big_options;
   big_options.max_b = 32;
   big_options.max_r = 8;
-  big_options.enable_cache = false;
   auto small_tuner = std::move(Tuner::Create(small_options)).value();
   auto big_tuner = std::move(Tuner::Create(big_options)).value();
   for (double t : {0.2, 0.5, 0.8}) {

@@ -109,8 +109,13 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// The string token `lshe index` will hash for a corpus value.
-std::string Token(uint64_t value) { return "v" + std::to_string(value); }
+/// The string token `lshe index` will hash for a corpus value. Built in
+/// place: GCC 12 raises a false -Werror=restrict on `"v" + to_string(..)`.
+std::string Token(uint64_t value) {
+  std::string token = std::to_string(value);
+  token.insert(token.begin(), 'v');
+  return token;
+}
 
 int RunEmitCsv(const Options& options) {
   if (options.out.empty()) {
