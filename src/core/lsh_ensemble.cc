@@ -468,6 +468,7 @@ Status LshEnsemble::QueryChunk(std::span<const QuerySpec> specs,
       }
       LSHE_RETURN_IF_ERROR(forest.Probe(*specs[i].query, params.b, params.r,
                                         &shard->probe, &outs[i]));
+      if (shard->probe.last_probe_slot0_empty()) ++st.filter_false_admits;
     }
   }
 

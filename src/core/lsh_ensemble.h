@@ -94,9 +94,14 @@ struct LshEnsembleOptions {
   /// filter blocks themselves (absent section = no pruning).
   bool build_probe_filter = true;
   /// Bits per (record, tree) bucket key in the probe filters, clamped to
-  /// [1, 64]. 8 gives ~2% false positives (wasted probes, never wrong
-  /// results); raise it to prune harder on very selective workloads.
-  int filter_bits_per_key = 8;
+  /// [1, 64]. Sizing rule: a filter check is an OR over the query's b
+  /// tree keys (b up to b_max = 32), so the filter is sized to keep the
+  /// false-admit rate of a 32-way check near 5%, not to keep the per-key
+  /// rate low. Measured over 2^20 random keys: 16 bits gives a 0.13%
+  /// per-key rate and about 4% false admits for a 32-way check; 8 bits
+  /// gives 3.3% and 66%. A false admit costs a wasted probe, never a
+  /// wrong result.
+  int filter_bits_per_key = 16;
   /// Build partition forests on the shared thread pool.
   bool parallel_build = true;
   /// Parallelize queries on the shared thread pool: BatchQuery() spreads
@@ -123,6 +128,13 @@ struct QueryStats {
   /// filter is a probe fast-path, not a pruning rule, so the accounting
   /// above holds with or without filters.
   size_t partitions_filter_skipped = 0;
+  /// Probed partitions whose filter admitted the query (not counted in
+  /// partitions_filter_skipped) but where none of the b probed trees holds
+  /// the query's slot-0 key: the probe the filter should have saved. With
+  /// no filters built every probe counts as admitted. So the measured
+  /// check-level false-admit rate is this over (partitions_probed -
+  /// partitions_filter_skipped).
+  size_t filter_false_admits = 0;
   /// Always 0: every probe descends over whole trees, so nothing skips
   /// or narrows a slot-0 search. Kept only because the end-to-end
   /// benchmark's replay (bench/e2e/replay.cc) still reads both fields.
@@ -322,6 +334,11 @@ class LshEnsemble {
   /// build_probe_filter=false, or loaded from a pre-filter image).
   const ProbeFilter* engine_probe_filter() const {
     return engine_filter_.empty() ? nullptr : &engine_filter_;
+  }
+  /// The partition forests, parallel to partitions() (for tests and
+  /// introspection).
+  std::span<const LshForest> partition_forests() const {
+    return {forests_.data(), forests_.size()};
   }
   /// Per-partition probe filters, parallel to partitions(); empty when
   /// the index carries no filters.

@@ -512,6 +512,7 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
           merged.partitions_pruned += part_stats.partitions_pruned;
           merged.partitions_filter_skipped +=
               part_stats.partitions_filter_skipped;
+          merged.filter_false_admits += part_stats.filter_false_admits;
         }
         merged.shards_gathered = gathered_count;
         merged.shards_skipped = num_shards - gathered_count;

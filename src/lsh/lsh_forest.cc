@@ -138,6 +138,7 @@ Status LshForest::Probe(const MinHash& signature, int b, int r,
   }
 
   const size_t n = ids_.size();
+  scratch->slot0_empty_ = true;
   if (n == 0) return Status::OK();
   const auto& mins = signature.values();
   const size_t depth = static_cast<size_t>(tree_depth_);
@@ -168,6 +169,7 @@ Status LshForest::Probe(const MinHash& signature, int b, int r,
   for (int t = 0; t < b; ++t) {
     const size_t lo = range_lo[t];
     if (lo < range_hi[t]) {
+      scratch->slot0_empty_ = false;
       __builtin_prefetch(TreeKeys(t) + lo * depth);
       __builtin_prefetch(TreeEntries(t) + lo);
     }

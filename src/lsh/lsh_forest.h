@@ -63,6 +63,11 @@ class LshForest {
    public:
     ProbeScratch() = default;
 
+    /// True when the last Probe() through this scratch found no tree whose
+    /// slot-0 key range was non-empty: the probe could surface nothing
+    /// (read off the slot-0 ranges the probe computes anyway).
+    bool last_probe_slot0_empty() const { return slot0_empty_; }
+
     /// Bytes held by the scratch buffers (for tests/introspection).
     size_t MemoryBytes() const {
       return (marks_.capacity() + prefix_.capacity() +
@@ -94,6 +99,7 @@ class LshForest {
     std::vector<uint32_t> range_lo_;
     std::vector<uint32_t> range_hi_;
     uint32_t epoch_ = 0;
+    bool slot0_empty_ = true;
   };
 
   /// \param num_trees   b_max: maximum number of probe trees.

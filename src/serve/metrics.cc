@@ -103,6 +103,12 @@ std::string ServerMetrics::RenderPrometheus() const {
   AppendCounter(&out, "lshe_serve_batched_requests_total",
                 "Requests answered through dispatch waves",
                 get(batched_requests));
+  AppendCounter(&out, "lshe_serve_filter_admits_total",
+                "Partition probes admitted by the probe filters",
+                get(filter_admits));
+  AppendCounter(&out, "lshe_serve_filter_false_admits_total",
+                "Admitted partition probes that found no slot-0 key",
+                get(filter_false_admits));
   batch_fill.Render("lshe_serve_batch_fill",
                     "Requests coalesced per dispatch wave", &out);
   coalesce_latency_us.Render(

@@ -90,6 +90,14 @@ struct ServerMetrics {
   Pow2Histogram coalesce_latency_us;
   /// Engine latency: dispatch -> results per wave, in microseconds.
   Pow2Histogram dispatch_latency_us;
+  // ---- probe filters (threshold-query waves) ----
+  /// Partition probes the Bloom filters let through: partitions probed
+  /// minus partitions filter-skipped (QueryStats).
+  std::atomic<uint64_t> filter_admits{0};
+  /// Admitted probes where no probed tree held the query's slot-0 key:
+  /// wasted forest probes. Over filter_admits, the measured false-admit
+  /// rate of the filter check.
+  std::atomic<uint64_t> filter_false_admits{0};
 
   /// \brief Render every family in Prometheus text format (metric names
   /// prefixed `lshe_serve_`).

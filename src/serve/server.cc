@@ -789,6 +789,14 @@ struct Server::Impl {
     const Status s = engine->BatchQuery(specs, outs.data(), stats.data());
     metrics.dispatch_latency_us.Record((SteadyNowNanos() - start) / 1000);
     if (s.ok()) {
+      uint64_t admits = 0, false_admits = 0;
+      for (const QueryStats& st : stats) {
+        admits += st.partitions_probed - st.partitions_filter_skipped;
+        false_admits += st.filter_false_admits;
+      }
+      metrics.filter_admits.fetch_add(admits, std::memory_order_relaxed);
+      metrics.filter_false_admits.fetch_add(false_admits,
+                                            std::memory_order_relaxed);
       for (size_t i = 0; i < wave.size(); ++i) {
         QueryResponse resp;
         resp.request_id = wave[i].request_id;

@@ -116,4 +116,8 @@ if __name__ == "__main__":
     if len(sys.argv) < 2:
         sys.exit("usage: cli_flags_test.py PATH_TO_LSHE [unittest args]")
     LSHE = os.path.abspath(sys.argv.pop(1))
+    # A tree built without the lshe target would otherwise fail every
+    # case with its own FileNotFoundError.
+    if not (os.path.isfile(LSHE) and os.access(LSHE, os.X_OK)):
+        sys.exit(f"lshe not built: {LSHE}")
     unittest.main()

@@ -14,6 +14,7 @@
 #include <random>
 #include <vector>
 
+#include "core/lsh_ensemble.h"
 #include "minhash/hash_kernel.h"
 
 namespace lshensemble {
@@ -58,9 +59,41 @@ TEST(ProbeFilterTest, FalsePositiveRateIsSane) {
   for (uint64_t probe : probes) {
     if (filter.MayContain(probe)) ++positives;
   }
-  // Split-block at 8 bits/key sits around 2% FPR; 5% leaves seed margin.
+  // Split-block at 8 bits/key sits around 3.3% FPR; 5% leaves seed margin.
   EXPECT_LT(static_cast<double>(positives) / probes.size(), 0.05)
       << positives << " of " << probes.size() << " foreign keys admitted";
+}
+
+// The sizing rule behind LshEnsembleOptions::filter_bits_per_key: a filter
+// check is an OR over a query's b tree keys, so the default must keep a
+// b_max = 32 check of absent keys near 5% false admits, not merely keep
+// the per-key rate low (8 bits per key reads about 66% here).
+TEST(ProbeFilterTest, DefaultSizingBoundsCheckFalseAdmits) {
+  constexpr uint32_t kTrees = 32;
+  constexpr size_t kKeys = size_t{1} << 18;
+  constexpr size_t kChecks = 100000;
+  std::mt19937_64 rng(2718);
+  std::vector<uint64_t> keys;
+  keys.reserve(kKeys);
+  for (size_t i = 0; i < kKeys; ++i) {
+    keys.push_back(ProbeFilter::ProbeKey(static_cast<uint32_t>(i % kTrees),
+                                         static_cast<uint32_t>(rng())));
+  }
+  const ProbeFilter filter =
+      ProbeFilter::Build(keys, LshEnsembleOptions{}.filter_bits_per_key);
+  size_t admits = 0;
+  for (size_t check = 0; check < kChecks; ++check) {
+    bool admitted = false;
+    for (uint32_t t = 0; t < kTrees; ++t) {
+      // Absent keys: a random 32-bit slot-0 key collides with one of the
+      // 2^13 inserted keys of its tree with probability 2^-19.
+      admitted |= filter.MayContain(
+          ProbeFilter::ProbeKey(t, static_cast<uint32_t>(rng())));
+    }
+    if (admitted) ++admits;
+  }
+  EXPECT_LE(static_cast<double>(admits) / kChecks, 0.06)
+      << admits << " of " << kChecks << " 32-way checks admitted";
 }
 
 TEST(ProbeFilterTest, DuplicateAndZeroKeysAreFine) {

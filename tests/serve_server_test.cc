@@ -391,6 +391,55 @@ TEST_F(ServeServerTest, MetricsScrapeOverHttp) {
   EXPECT_NE(response.find("lshe_serve_batch_fill_count"), std::string::npos);
 }
 
+// The probe-filter counters sum every wave's QueryStats: after a run of
+// native and foreign queries they equal the engine's own per-query
+// counters for the same queries, and /metrics exports both.
+TEST_F(ServeServerTest, FilterCountersSumEngineStats) {
+  auto server = StartServer();
+  Client client = ConnectTo(*server);
+  std::vector<MinHash> foreign;
+  for (uint64_t i = 0; i < 8; ++i) {
+    std::vector<uint64_t> values(40);
+    for (size_t j = 0; j < values.size(); ++j) {
+      values[j] = (i + 1) * 1000003 + j * 7919 + 0x5eed0000000ull;
+    }
+    foreign.push_back(MinHash::FromValues(family_, values));
+  }
+  std::vector<QuerySpec> specs;
+  for (size_t i = 0; i < corpus_->size(); i += 7) {
+    specs.push_back(QuerySpec{&sketches_[i], corpus_->domain(i).size(), 0.5});
+  }
+  for (const MinHash& sketch : foreign) {
+    specs.push_back(QuerySpec{&sketch, 40, 0.5});
+  }
+  for (const QuerySpec& spec : specs) {
+    ASSERT_TRUE(
+        client.Query(*spec.query, spec.query_size, spec.t_star).ok());
+  }
+
+  std::vector<std::vector<uint64_t>> outs(specs.size());
+  std::vector<QueryStats> stats(specs.size());
+  ASSERT_TRUE(engine_->BatchQuery(specs, outs.data(), stats.data()).ok());
+  uint64_t admits = 0, false_admits = 0;
+  for (const QueryStats& st : stats) {
+    admits += st.partitions_probed - st.partitions_filter_skipped;
+    false_admits += st.filter_false_admits;
+  }
+  EXPECT_GT(admits, 0u);
+  EXPECT_EQ(server->metrics().filter_admits.load(), admits);
+  EXPECT_EQ(server->metrics().filter_false_admits.load(), false_admits);
+
+  const std::string response = ScrapeMetrics(*server);
+  EXPECT_NE(response.find("lshe_serve_filter_admits_total " +
+                          std::to_string(admits)),
+            std::string::npos)
+      << response;
+  EXPECT_NE(response.find("lshe_serve_filter_false_admits_total " +
+                          std::to_string(false_admits)),
+            std::string::npos)
+      << response;
+}
+
 // An HTTP connection gets one response: input after the request that
 // was answered (here 64 KiB of filler in the same write, spanning many
 // reads) is discarded instead of re-triggering the page.

@@ -558,6 +558,111 @@ TEST_F(ShardedEnsembleTest, StatsAreObservationOnly) {
   }
 }
 
+// Brute-force count of one query's probe-filter outcome on one engine:
+// `admitted` counts the reachable partitions both filter tiers let
+// through, `false_admits` those of them where no probed tree's first-key
+// arena holds the query's slot-0 key (a binary search per tree).
+struct FilterOutcome {
+  size_t admitted = 0;
+  size_t false_admits = 0;
+};
+
+FilterOutcome BruteForceFilterOutcome(const LshEnsemble& engine,
+                                      const QuerySpec& spec) {
+  FilterOutcome outcome;
+  if (EngineFilterRejects(engine, *spec.query)) return outcome;
+  const int depth = engine.options().tree_depth;
+  const auto q = static_cast<double>(spec.query_size);
+  for (size_t p = 0; p < engine.partitions().size(); ++p) {
+    const double max_size =
+        static_cast<double>(engine.partitions()[p].upper - 1);
+    if (max_size + 1e-9 < spec.t_star * q) continue;  // pruned
+    const int b = engine.TuneForPartition(p, q, spec.t_star).value().b;
+    const LshForest& forest = engine.partition_forests()[p];
+    const size_t n = forest.size();
+    const std::span<const uint32_t> first = forest.first_key_arena();
+    bool filter_admits = engine.partition_probe_filters().empty();
+    bool slot0_hit = false;
+    for (int t = 0; t < b; ++t) {
+      const uint32_t key = LshForest::TruncateHash(
+          spec.query->values()[static_cast<size_t>(t) * depth]);
+      if (!engine.partition_probe_filters().empty() &&
+          engine.partition_probe_filters()[p].MayContain(
+              ProbeFilter::ProbeKey(static_cast<uint32_t>(t), key))) {
+        filter_admits = true;
+      }
+      const auto tree = first.subspan(static_cast<size_t>(t) * n, n);
+      if (std::binary_search(tree.begin(), tree.end(), key)) slot0_hit = true;
+    }
+    if (!filter_admits) continue;
+    ++outcome.admitted;
+    if (!slot0_hit) ++outcome.false_admits;
+  }
+  return outcome;
+}
+
+// QueryStats::filter_false_admits counts exactly the admitted probes that
+// find no slot-0 key. At S in {1, 4}, for native and foreign queries, at
+// the default filter sizing and at a 2-bit sizing that admits nearly
+// everything, the shard-summed counters equal a brute-force count over
+// the first-key arenas, and asking for stats leaves the outputs unchanged.
+TEST_F(ShardedEnsembleTest, FilterFalseAdmitsMatchBruteForce) {
+  constexpr size_t kForeign = 32;
+  Rng rng(7741);
+  std::vector<MinHash> foreign_sketches;
+  std::vector<QuerySpec> specs = SampleSpecs(48);
+  foreign_sketches.reserve(kForeign);
+  for (size_t i = 0; i < kForeign; ++i) {
+    std::vector<uint64_t> values(20 + 10 * i);
+    for (uint64_t& value : values) value = rng.Next();
+    foreign_sketches.push_back(MinHash::FromValues(family_, values));
+    specs.push_back(QuerySpec{&foreign_sketches.back(), values.size(),
+                              (i % 2 == 0) ? 0.5 : 0.8});
+  }
+
+  for (const int bits : {LshEnsembleOptions{}.filter_bits_per_key, 2}) {
+    for (const size_t num_shards : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("bits=" + std::to_string(bits) +
+                   " num_shards=" + std::to_string(num_shards));
+      ShardedEnsembleOptions options = ShardOptions(num_shards);
+      options.base.base.filter_bits_per_key = bits;
+      auto index = ShardedEnsemble::Create(options, family_).value();
+      for (size_t i = 0; i < corpus_->size(); ++i) {
+        ASSERT_TRUE(InsertDomain(index, i).ok());
+      }
+      ASSERT_TRUE(index.Flush().ok());
+
+      std::vector<std::vector<uint64_t>> plain(specs.size());
+      std::vector<std::vector<uint64_t>> observed(specs.size());
+      std::vector<QueryStats> stats(specs.size());
+      ASSERT_TRUE(index.BatchQuery(specs, plain.data()).ok());
+      ASSERT_TRUE(index.BatchQuery(specs, observed.data(), stats.data()).ok());
+      size_t total_false_admits = 0;
+      for (size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(observed[i], plain[i]) << "query " << i;
+        FilterOutcome expected;
+        for (size_t s = 0; s < num_shards; ++s) {
+          const FilterOutcome part =
+              BruteForceFilterOutcome(*index.shard(s).indexed(), specs[i]);
+          expected.admitted += part.admitted;
+          expected.false_admits += part.false_admits;
+        }
+        EXPECT_EQ(stats[i].partitions_probed -
+                      stats[i].partitions_filter_skipped,
+                  expected.admitted)
+            << "query " << i;
+        EXPECT_EQ(stats[i].filter_false_admits, expected.false_admits)
+            << "query " << i;
+        total_false_admits += stats[i].filter_false_admits;
+      }
+      // The loose sizing must exercise the counter, not only agree on 0.
+      if (bits == 2) {
+        EXPECT_GT(total_false_admits, 0u);
+      }
+    }
+  }
+}
+
 // Filtered serving under concurrent mutation: readers run filtered batch
 // queries non-stop while a writer inserts, removes, and flushes (every
 // flush rebuilds the per-shard filters). TSan runs this (the CI regex
