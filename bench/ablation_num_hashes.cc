@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
     options.num_partitions = 16;
     options.num_hashes = m;
     options.tree_depth = 8;
-    options.parallel_query = false;
     LshEnsembleBuilder builder(options, family);
     for (size_t i = 0; i < corpus.size(); ++i) {
       const Domain& domain = corpus.domain(i);

@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
   // Dynamic: the ensemble with 16 partitions.
   LshEnsembleOptions options;
   options.num_partitions = 16;
-  options.parallel_query = false;
   LshEnsembleBuilder builder(options, family);
   for (size_t i = 0; i < corpus.size(); ++i) {
     const Domain& domain = corpus.domain(i);

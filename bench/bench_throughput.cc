@@ -1,14 +1,18 @@
-// Query throughput across the unified batched surface: the batched engine
-// (BatchQuery + reusable QueryContext) against sequential single-query
-// Query() calls at batch sizes 1/64/4096, then the same comparison on a
-// dynamic index carrying a 10% unindexed delta (DynamicLshEnsemble), on
-// lockstep top-k descents (TopKSearcher::BatchSearch), and on the sharded
-// serving layer at S = 1/2/4 shards (shard-batch / shard-topk rows, each
-// shard an independent dynamic engine with the same 10% delta). Reports
-// queries/sec and heap allocations per query (global operator new is
-// instrumented below). The dynamic batch path is REQUIRED to be
-// allocation-free on a warm context (the run fails otherwise) — that is
-// the machine check behind the "delta scan allocates nothing" claim.
+// Query throughput across the unified batched surface: batched queries
+// against sequential single-query Query() calls at batch sizes 1/64/4096,
+// then the same comparison on a dynamic index carrying a 10% unindexed
+// delta, on lockstep top-k descents, and on the sharded serving layer at
+// S = 1/2/4 shards (shard-batch / shard-topk rows, each shard an
+// independent dynamic engine with the same 10% delta). The single-query
+// rows and batch/1 run the single-thread building blocks (LshEnsemble,
+// DynamicLshEnsemble, TopKSearcher over a SketchStore); the batch/64,
+// batch/4096, dyn-batch and topk-batch rows run an S = 1 ShardedEnsemble
+// over the same corpus, since its (shard x query-chunk) wave is the only
+// query code that uses the thread pool. Reports queries/sec and heap
+// allocations per query (global operator new is instrumented below). The
+// dynamic batch path is REQUIRED to be allocation-free on a warm engine
+// (the run fails otherwise) — that is the machine check behind the
+// "delta scan allocates nothing" claim.
 
 #include <algorithm>
 #include <atomic>
@@ -142,6 +146,34 @@ int Main(int argc, char** argv) {
   std::vector<Row> rows;
   std::vector<std::vector<uint64_t>> outs(num_queries);
 
+  // A sharded engine over the corpus: the first `indexed` domains are
+  // flushed into the shards' indexes, the rest stay in their deltas.
+  const size_t indexed_count = corpus.size() - corpus.size() / 10;
+  auto make_sharded = [&](const LshEnsembleOptions& base, size_t num_shards,
+                          size_t indexed) {
+    ShardedEnsembleOptions shard_options;
+    shard_options.base.base = base;
+    shard_options.base.min_delta_for_rebuild = num_domains + 1;
+    shard_options.num_shards = num_shards;
+    auto sharded = ShardedEnsemble::Create(shard_options, family);
+    if (!sharded.ok()) {
+      std::fprintf(stderr, "ShardedEnsemble::Create failed: %s\n",
+                   sharded.status().ToString().c_str());
+      std::exit(1);
+    }
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      if (!sharded->Insert(i + 1, corpus.domain(i).size(), sketches[i]).ok()) {
+        std::fprintf(stderr, "sharded Insert failed\n");
+        std::exit(1);
+      }
+      if (i + 1 == indexed && !sharded->Flush().ok()) {
+        std::fprintf(stderr, "sharded Flush failed\n");
+        std::exit(1);
+      }
+    }
+    return std::move(sharded).value();
+  };
+
   // --- sequential single-query baseline -------------------------------
   auto run_single = [&]() {
     for (size_t i = 0; i < num_queries; ++i) {
@@ -164,15 +196,25 @@ int Main(int argc, char** argv) {
   // reproduce the sequential Query() outputs byte for byte.
   const std::vector<std::vector<uint64_t>> single_outs = outs;
 
-  // --- batched engine at batch sizes 1 / 64 / 4096 --------------------
+  // --- batched queries at batch sizes 1 / 64 / 4096 -------------------
+  // Batch 1 runs the building block on this thread; larger batches run
+  // the S = 1 sharded engine, which spreads each batch over the pool.
+  // The sharded gather canonicalizes to ascending-id order, so those
+  // rows compare against a sorted copy.
+  std::vector<std::vector<uint64_t>> single_sorted = single_outs;
+  for (auto& out : single_sorted) std::sort(out.begin(), out.end());
+  const ShardedEnsemble indexed_sharded =
+      make_sharded(options, 1, corpus.size());
   QueryContext ctx;
   for (const size_t batch_size : {size_t{1}, size_t{64}, size_t{4096}}) {
     auto run_batched = [&]() {
       for (size_t begin = 0; begin < num_queries; begin += batch_size) {
         const size_t len = std::min(batch_size, num_queries - begin);
-        const Status status = ensemble.BatchQuery(
-            std::span<const QuerySpec>(specs.data() + begin, len), &ctx,
-            outs.data() + begin);
+        const std::span<const QuerySpec> batch(specs.data() + begin, len);
+        const Status status =
+            batch_size == 1
+                ? ensemble.BatchQuery(batch, &ctx, outs.data() + begin)
+                : indexed_sharded.BatchQuery(batch, outs.data() + begin);
         if (!status.ok()) {
           std::fprintf(stderr, "BatchQuery failed: %s\n",
                        status.ToString().c_str());
@@ -186,8 +228,9 @@ int Main(int argc, char** argv) {
     run_batched();
     rows.push_back({"batch", batch_size, num_queries, watch.ElapsedSeconds(),
                     g_allocations.load() - allocs_before});
+    const auto& expected = batch_size == 1 ? single_outs : single_sorted;
     for (size_t i = 0; i < num_queries; ++i) {
-      if (outs[i] != single_outs[i]) {
+      if (outs[i] != expected[i]) {
         std::fprintf(stderr,
                      "FAIL: batch %zu result diverges from single-query at "
                      "query %zu\n",
@@ -293,7 +336,6 @@ int Main(int argc, char** argv) {
     return 1;
   }
   DynamicLshEnsemble& dynamic = *dyn_result;
-  const size_t indexed_count = corpus.size() - corpus.size() / 10;
   for (size_t i = 0; i < corpus.size(); ++i) {
     if (!dynamic.Insert(i + 1, corpus.domain(i).size(), sketches[i]).ok()) {
       std::fprintf(stderr, "dynamic Insert failed\n");
@@ -323,20 +365,18 @@ int Main(int argc, char** argv) {
   rows.push_back({"dyn-single", 1, num_queries, watch.ElapsedSeconds(),
                   g_allocations.load() - allocs_before});
   // Reference outputs for the dyn-batch and shard-batch identity checks
-  // (both serve the same 90% indexed + 10% delta corpus). The sharded
-  // gather canonicalizes to ascending-id order, so it compares against a
-  // sorted copy.
-  const std::vector<std::vector<uint64_t>> dyn_single_outs = outs;
+  // (both serve the same 90% indexed + 10% delta corpus), sorted like the
+  // sharded gather.
   std::vector<std::vector<uint64_t>> dyn_single_sorted = outs;
   for (auto& out : dyn_single_sorted) std::sort(out.begin(), out.end());
 
-  QueryContext dyn_ctx;
+  const ShardedEnsemble dyn_sharded = make_sharded(options, 1, indexed_count);
   constexpr size_t kDynBatch = 4096;
   auto run_dyn_batched = [&]() {
     for (size_t begin = 0; begin < num_queries; begin += kDynBatch) {
       const size_t len = std::min(kDynBatch, num_queries - begin);
-      const Status status = dynamic.BatchQuery(
-          std::span<const QuerySpec>(specs.data() + begin, len), &dyn_ctx,
+      const Status status = dyn_sharded.BatchQuery(
+          std::span<const QuerySpec>(specs.data() + begin, len),
           outs.data() + begin);
       if (!status.ok()) {
         std::fprintf(stderr, "dynamic BatchQuery failed: %s\n",
@@ -345,12 +385,11 @@ int Main(int argc, char** argv) {
       }
     }
   };
-  run_dyn_batched();  // warm the context and the output capacities
-  // Best of 3: the context's shard pool grows to the number of concurrent
-  // workers *observed*, so a worker winning a race it lost during warmup
-  // can create one shard (a burst of one-off allocations) in any single
-  // rep. A genuine per-query allocation shows up in every rep, so the
-  // minimum is the honest steady-state figure.
+  run_dyn_batched();  // warm the scratch and the output capacities
+  // Best of 3 keeps a scheduler stall out of the row. Every rep pins the
+  // same per-chunk scratch, so a warm rep allocates only the wave's fixed
+  // dispatch cost; a genuine per-query allocation shows up in every rep,
+  // so the minimum is the honest steady-state figure.
   double dyn_batch_seconds = 0.0;
   uint64_t dyn_batch_allocs = 0;
   for (int rep = 0; rep < 3; ++rep) {
@@ -367,7 +406,7 @@ int Main(int argc, char** argv) {
   rows.push_back({"dyn-batch", kDynBatch, num_queries, dyn_batch_seconds,
                   dyn_batch_allocs});
   for (size_t i = 0; i < num_queries; ++i) {
-    if (outs[i] != dyn_single_outs[i]) {
+    if (outs[i] != dyn_single_sorted[i]) {
       std::fprintf(stderr,
                    "FAIL: dyn-batch result diverges from dyn-single at "
                    "query %zu\n",
@@ -413,10 +452,11 @@ int Main(int argc, char** argv) {
   rows.push_back({"topk-single", 1, num_topk, watch.ElapsedSeconds(),
                   g_allocations.load() - allocs_before});
 
-  QueryContext topk_ctx;
+  const std::vector<std::vector<TopKResult>> topk_single_outs = topk_outs;
+
   auto run_topk_batched = [&]() {
-    const Status status = searcher.BatchSearch(topk_queries, topk_k,
-                                               &topk_ctx, topk_outs.data());
+    const Status status =
+        indexed_sharded.BatchSearch(topk_queries, topk_k, topk_outs.data());
     if (!status.ok()) {
       std::fprintf(stderr, "BatchSearch failed: %s\n",
                    status.ToString().c_str());
@@ -429,6 +469,11 @@ int Main(int argc, char** argv) {
   run_topk_batched();
   rows.push_back({"topk-batch", num_topk, num_topk, watch.ElapsedSeconds(),
                   g_allocations.load() - allocs_before});
+  if (topk_outs != topk_single_outs) {
+    std::fprintf(stderr, "FAIL: topk-batch ranking diverges from "
+                         "topk-single\n");
+    return 1;
+  }
 
   // --- sharded serving layer at S = 1 / 2 / 4 --------------------------
   // Same corpus and query stream through the scatter/gather layer: every
@@ -436,27 +481,8 @@ int Main(int argc, char** argv) {
   // so shard-batch vs dyn-batch is the cost/benefit of the sharded wave
   // and shard-batch across S shows the scaling on multi-core runners.
   for (const size_t num_shards : {size_t{1}, size_t{2}, size_t{4}}) {
-    ShardedEnsembleOptions shard_options;
-    shard_options.base.base = options;
-    shard_options.base.min_delta_for_rebuild = num_domains + 1;
-    shard_options.num_shards = num_shards;
-    auto sharded_result = ShardedEnsemble::Create(shard_options, family);
-    if (!sharded_result.ok()) {
-      std::fprintf(stderr, "ShardedEnsemble::Create failed: %s\n",
-                   sharded_result.status().ToString().c_str());
-      return 1;
-    }
-    ShardedEnsemble& sharded = *sharded_result;
-    for (size_t i = 0; i < corpus.size(); ++i) {
-      if (!sharded.Insert(i + 1, corpus.domain(i).size(), sketches[i]).ok()) {
-        std::fprintf(stderr, "sharded Insert failed\n");
-        return 1;
-      }
-      if (i + 1 == indexed_count && !sharded.Flush().ok()) {
-        std::fprintf(stderr, "sharded Flush failed\n");
-        return 1;
-      }
-    }
+    const ShardedEnsemble sharded =
+        make_sharded(options, num_shards, indexed_count);
 
     auto run_shard_batched = [&]() {
       for (size_t begin = 0; begin < num_queries; begin += kDynBatch) {
@@ -576,29 +602,11 @@ int Main(int argc, char** argv) {
           {"shard-skew-scatter", false, &scatter_outs},
       };
       for (SkewMode& mode : modes) {
-        ShardedEnsembleOptions shard_options;
-        shard_options.base.base = options;
-        shard_options.base.base.build_probe_filter = mode.build_filter;
-        shard_options.base.min_delta_for_rebuild = num_domains + 1;
-        shard_options.num_shards = num_shards;
-        auto sharded_result = ShardedEnsemble::Create(shard_options, family);
-        if (!sharded_result.ok()) {
-          std::fprintf(stderr, "skew ShardedEnsemble::Create failed: %s\n",
-                       sharded_result.status().ToString().c_str());
-          return 1;
-        }
-        ShardedEnsemble& sharded = *sharded_result;
-        for (size_t i = 0; i < corpus.size(); ++i) {
-          if (!sharded.Insert(i + 1, corpus.domain(i).size(), sketches[i])
-                   .ok()) {
-            std::fprintf(stderr, "skew Insert failed\n");
-            return 1;
-          }
-        }
-        if (!sharded.Flush().ok()) {  // fully indexed: no delta scan
-          std::fprintf(stderr, "skew Flush failed\n");
-          return 1;
-        }
+        LshEnsembleOptions skew_options = options;
+        skew_options.build_probe_filter = mode.build_filter;
+        // Fully indexed: no delta scan.
+        const ShardedEnsemble sharded =
+            make_sharded(skew_options, num_shards, corpus.size());
         auto run_skew = [&]() {
           for (size_t begin = 0; begin < num_queries; begin += kDynBatch) {
             const size_t len = std::min(kDynBatch, num_queries - begin);
@@ -669,13 +677,12 @@ int Main(int argc, char** argv) {
   if (!json.Write()) return 1;
 
   // Machine check (ISSUE 3 acceptance): the dynamic batch path must be
-  // allocation-free on a warm context — per-query work allocates nothing;
-  // only the thread pool's per-BatchQuery dispatch may allocate (one
-  // shared state + one queued task per helper, two dispatches per batch:
-  // inner engine + delta scan). Output capacities are warmed by the
-  // untimed run, so the budget scales with pool width, never with the
-  // query count — any per-query allocation blows it by orders of
-  // magnitude.
+  // allocation-free on a warm engine — per-query work allocates nothing;
+  // only the scatter's fixed per-batch cost may allocate (its staging
+  // vectors, plus one pool dispatch: one shared state + one queued task
+  // per helper). Output capacities are warmed by the untimed run, so the
+  // budget scales with pool width, never with the query count — any
+  // per-query allocation blows it by orders of magnitude.
   // Machine check half 2 (ISSUE 6 acceptance): on skewed foreign traffic
   // the filter tier must buy at least 1.3x over the all-shard scatter at
   // every measured shard count (best-of-3 on both sides keeps scheduler

@@ -7,7 +7,7 @@
 // corpus is self-joined through the serving layer's own batched engine —
 // every indexed record becomes a query against the index that holds it —
 // in bounded tiles of ShardedEnsemble::BatchQuery waves, so the scratch
-// (QueryContext pools, gather staging, output vectors) stays resident
+// (per-shard scratch pools, gather staging, output vectors) stays resident
 // however large the corpus is. This is BatchQuery's largest possible
 // workload: a batch the size of the corpus itself.
 //

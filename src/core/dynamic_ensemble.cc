@@ -6,7 +6,6 @@
 #include "core/threshold.h"
 #include "minhash/hash_kernel.h"
 #include "util/clock.h"
-#include "util/thread_pool.h"
 
 namespace lshensemble {
 
@@ -227,60 +226,42 @@ Status DynamicLshEnsemble::BatchQuery(std::span<const QuerySpec> specs,
 
   // Records in the outer loop, queries inner, tiled: a block of record
   // signatures small enough to stay cache-resident (~128 KiB) is scored
-  // against every query of the chunk before the next block is touched, so
+  // against every query of the batch before the next block is touched, so
   // each query signature is streamed once per block instead of once per
   // record. One batch-compare kernel call scores the whole block against a
   // query (families were checked above, so the kernel works on raw slot
   // arrays and reproduces exactly the count EstimateJaccard uses). Per
-  // query, records are still visited in delta order. A single query is a
-  // chunk of one.
+  // query, records are still visited in delta order.
   constexpr size_t kMaxBlock = 512;
   const size_t block_records = std::min(
       kMaxBlock,
       std::max<size_t>(1, (static_cast<size_t>(128) << 10) /
                               (num_hashes * sizeof(uint64_t))));
-  auto scan_queries = [&](size_t query_begin, size_t query_end) {
-    uint32_t counts[kMaxBlock];
-    for (size_t base = 0; base < num_delta; base += block_records) {
-      const size_t block_len = std::min(block_records, num_delta - base);
-      const uint64_t* block_sizes = delta_sizes_.data() + base;
-      const uint64_t* const* block_sigs = delta_rows_.data() + base;
-      // The admission bound applied wholesale: a block's kernel call is
-      // skipped when even its largest record cannot reach the threshold.
-      const auto block_max = static_cast<double>(
-          *std::max_element(block_sizes, block_sizes + block_len));
-      for (size_t i = query_begin; i < query_end; ++i) {
-        const double q = ctx->dynamic_q_[i];
-        const double t_star = specs[i].t_star;
-        if (prune && block_max + 1e-9 < t_star * q) continue;
-        kernel.count_collisions_many(specs[i].query->values().data(),
-                                     block_sigs, num_hashes, block_len,
-                                     counts);
-        std::vector<uint64_t>& out = outs[i];
-        for (size_t r = 0; r < block_len; ++r) {
-          const auto x = static_cast<double>(block_sizes[r]);
-          if (prune && x + 1e-9 < t_star * q) continue;
-          const double s_star = ContainmentToJaccardHoisted(t_star, x / q);
-          if (static_cast<double>(counts[r]) / m + 1e-12 >= s_star) {
-            out.push_back(delta_[base + r]);
-          }
+  uint32_t counts[kMaxBlock];
+  for (size_t base = 0; base < num_delta; base += block_records) {
+    const size_t block_len = std::min(block_records, num_delta - base);
+    const uint64_t* block_sizes = delta_sizes_.data() + base;
+    const uint64_t* const* block_sigs = delta_rows_.data() + base;
+    // The admission bound applied wholesale: a block's kernel call is
+    // skipped when even its largest record cannot reach the threshold.
+    const auto block_max = static_cast<double>(
+        *std::max_element(block_sizes, block_sizes + block_len));
+    for (size_t i = 0; i < count; ++i) {
+      const double q = ctx->dynamic_q_[i];
+      const double t_star = specs[i].t_star;
+      if (prune && block_max + 1e-9 < t_star * q) continue;
+      kernel.count_collisions_many(specs[i].query->values().data(),
+                                   block_sigs, num_hashes, block_len, counts);
+      std::vector<uint64_t>& out = outs[i];
+      for (size_t r = 0; r < block_len; ++r) {
+        const auto x = static_cast<double>(block_sizes[r]);
+        if (prune && x + 1e-9 < t_star * q) continue;
+        const double s_star = ContainmentToJaccardHoisted(t_star, x / q);
+        if (static_cast<double>(counts[r]) / m + 1e-12 >= s_star) {
+          out.push_back(delta_[base + r]);
         }
       }
     }
-  };
-
-  // Spread query chunks over the pool when the scan is worth it; each
-  // chunk writes only its own outs[] range.
-  const size_t participants = ThreadPool::Shared().num_threads() + 1;
-  const size_t chunks = options_.base.parallel_query && participants > 1
-                            ? std::min(count, participants * 4)
-                            : 1;
-  if (chunks <= 1 || num_delta * count < 4096) {
-    scan_queries(0, count);
-  } else {
-    ThreadPool::Shared().ParallelFor(chunks, [&](size_t c) {
-      scan_queries(c * count / chunks, (c + 1) * count / chunks);
-    });
   }
   return Status::OK();
 }

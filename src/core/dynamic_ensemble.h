@@ -27,6 +27,12 @@
 // Queries, mutations and top-k ranking behave identically; the first
 // Flush() materializes the mapped records, rebuilds on the heap and
 // releases the mapping.
+//
+// Queries run on the calling thread, delta scan included: this engine is
+// the single-thread building block of a ShardedEnsemble shard, whose
+// (shard x query-chunk) wave is the only query dispatch to the thread
+// pool. Use a ShardedEnsemble (S = 1 for no sharding) to answer a batch
+// in parallel.
 
 #ifndef LSHENSEMBLE_CORE_DYNAMIC_ENSEMBLE_H_
 #define LSHENSEMBLE_CORE_DYNAMIC_ENSEMBLE_H_
@@ -112,8 +118,9 @@ class DynamicLshEnsemble {
   /// the dispatched collision-count kernel). Per-query threshold terms are
   /// hoisted out of the record loop, and all staging (tombstone filtering,
   /// hoisted terms) lives in `ctx`, so a warm context makes the whole call
-  /// allocation-free apart from output growth. Thread-safe between
-  /// mutations; give each calling thread its own context.
+  /// allocation-free apart from output growth. Runs on the calling
+  /// thread. Thread-safe between mutations; give each calling thread its
+  /// own context.
   ///
   /// Under base.prune_unreachable_partitions (the same flag the indexed
   /// path's partition prune honors), delta records whose size cannot

@@ -90,37 +90,16 @@ LshEnsemble::LshEnsemble(LshEnsembleOptions options,
     : options_(std::move(options)), family_(std::move(family)) {}
 
 size_t QueryContext::MemoryBytes() const {
-  size_t bytes = 0;
-  for (const auto& shard : shards_) {
-    bytes += sizeof(Shard) + shard->probe.MemoryBytes() +
-             shard->chunk_q.capacity() * sizeof(double) +
-             shard->filter_hashes.capacity() * sizeof(uint64_t) +
-             shard->filter_admit.capacity() +
-             shard->stats.capacity() * sizeof(QueryStats);
-  }
-  bytes += statuses_.capacity() * sizeof(Status);
+  size_t bytes = probe_.MemoryBytes() + chunk_q_.capacity() * sizeof(double) +
+                 filter_hashes_.capacity() * sizeof(uint64_t) +
+                 filter_admit_.capacity() +
+                 stats_.capacity() * sizeof(QueryStats);
   bytes += dynamic_q_.capacity() * sizeof(double);
   bytes += dynamic_specs_.capacity() * sizeof(QuerySpec);
   for (const auto& staged : dynamic_outs_) {
     bytes += sizeof(staged) + staged.capacity() * sizeof(uint64_t);
   }
   return bytes;
-}
-
-QueryContext::Shard* QueryContext::AcquireShard() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!free_.empty()) {
-    Shard* shard = free_.back();
-    free_.pop_back();
-    return shard;
-  }
-  shards_.push_back(std::make_unique<Shard>());
-  return shards_.back().get();
-}
-
-void QueryContext::ReleaseShard(Shard* shard) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  free_.push_back(shard);
 }
 
 LshEnsembleBuilder::LshEnsembleBuilder(LshEnsembleOptions options,
@@ -361,26 +340,25 @@ Status LshEnsemble::ValidateSpec(const QuerySpec& spec, size_t* q) const {
 }
 
 Status LshEnsemble::QueryChunk(std::span<const QuerySpec> specs,
-                               QueryContext::Shard* shard,
-                               std::vector<uint64_t>* outs,
+                               QueryContext* ctx, std::vector<uint64_t>* outs,
                                QueryStats* stats) const {
   const size_t m = specs.size();
   const size_t n = specs_.size();
   // The counters are always kept; without a caller array they land in
   // scratch, so asking for stats never changes what the kernel does.
   if (stats == nullptr) {
-    shard->stats.resize(m);
-    stats = shard->stats.data();
+    ctx->stats_.resize(m);
+    stats = ctx->stats_.data();
   }
 
   bool any_deadline = false;
-  shard->chunk_q.resize(m);
+  ctx->chunk_q_.resize(m);
   for (size_t i = 0; i < m; ++i) {
     size_t q = 0;
     LSHE_RETURN_IF_ERROR(ValidateSpec(specs[i], &q));
     LSHE_RETURN_IF_ERROR(CheckDeadline(specs[i].deadline_ns));
     if (specs[i].deadline_ns != 0) any_deadline = true;
-    shard->chunk_q[i] = static_cast<double>(q);
+    ctx->chunk_q_[i] = static_cast<double>(q);
     outs[i].clear();
     stats[i] = QueryStats{};
     stats[i].query_size_used = q;
@@ -392,19 +370,19 @@ Status LshEnsemble::QueryChunk(std::span<const QuerySpec> specs,
   auto unreachable = [&](size_t p, size_t i) {
     return options_.prune_unreachable_partitions &&
            static_cast<double>(specs_[p].upper - 1) + 1e-9 <
-               specs[i].t_star * shard->chunk_q[i];
+               specs[i].t_star * ctx->chunk_q_[i];
   };
 
   const bool use_filters = !filters_.empty();
   const auto num_trees =
       static_cast<size_t>(options_.num_hashes / options_.tree_depth);
-  shard->filter_admit.assign(m, 1);
+  ctx->filter_admit_.assign(m, 1);
   if (use_filters) {
     // Stage every query's tree keys once; they are reused by the engine
     // admit check here and by each partition's filter below.
-    shard->filter_hashes.resize(m * num_trees);
+    ctx->filter_hashes_.resize(m * num_trees);
     for (size_t i = 0; i < m; ++i) {
-      uint64_t* row = shard->filter_hashes.data() + i * num_trees;
+      uint64_t* row = ctx->filter_hashes_.data() + i * num_trees;
       StageFilterHashes(*specs[i].query, static_cast<int>(num_trees),
                         options_.tree_depth, row);
       if (engine_filter_.empty() ||
@@ -414,7 +392,7 @@ Status LshEnsemble::QueryChunk(std::span<const QuerySpec> specs,
       // Whole-engine fast reject: no partition holds any of the query's
       // slot-0 keys, so every probe would come back empty. Accounted as if
       // each reachable partition's own filter had said no.
-      shard->filter_admit[i] = 0;
+      ctx->filter_admit_[i] = 0;
       for (size_t p = 0; p < n; ++p) {
         if (unreachable(p, i)) {
           ++stats[i].partitions_pruned;
@@ -444,13 +422,13 @@ Status LshEnsemble::QueryChunk(std::span<const QuerySpec> specs,
       if (specs[i].deadline_ns != 0 && now >= specs[i].deadline_ns) {
         return Status::DeadlineExceeded("query deadline expired");
       }
-      if (!shard->filter_admit[i]) continue;
+      if (!ctx->filter_admit_[i]) continue;
       QueryStats& st = stats[i];
       if (unreachable(p, i)) {
         ++st.partitions_pruned;
         continue;
       }
-      const double qd = shard->chunk_q[i];
+      const double qd = ctx->chunk_q_[i];
       if (qd != memo_q || specs[i].t_star != memo_t) {
         params = tuner_->Tune(max_size, qd, specs[i].t_star);
         memo_q = qd;
@@ -461,14 +439,14 @@ Status LshEnsemble::QueryChunk(std::span<const QuerySpec> specs,
       // so the arena walk is skipped. Still counted as probed.
       if (use_filters &&
           !FilterAdmits(filters_[p],
-                        shard->filter_hashes.data() + i * num_trees,
+                        ctx->filter_hashes_.data() + i * num_trees,
                         params.b)) {
         ++st.partitions_filter_skipped;
         continue;
       }
       LSHE_RETURN_IF_ERROR(forest.Probe(*specs[i].query, params.b, params.r,
-                                        &shard->probe, &outs[i]));
-      if (shard->probe.last_probe_slot0_empty()) ++st.filter_false_admits;
+                                        &ctx->probe_, &outs[i]));
+      if (ctx->probe_.last_probe_slot0_empty()) ++st.filter_false_admits;
     }
   }
 
@@ -497,36 +475,7 @@ Status LshEnsemble::BatchQuery(std::span<const QuerySpec> specs,
   if (outs == nullptr) {
     return Status::InvalidArgument("outs must not be null");
   }
-
-  const size_t count = specs.size();
-  // Across-query parallelism: contiguous chunks keep one shard (and the
-  // partition arenas QueryChunk revisits) hot per worker while the 4x
-  // over-decomposition lets the pool balance uneven query costs. A single
-  // query is a chunk of one.
-  const size_t participants = ThreadPool::Shared().num_threads() + 1;
-  const size_t chunks =
-      options_.parallel_query ? std::min(count, participants * 4) : 1;
-  if (chunks == 1) {
-    QueryContext::Shard* shard = ctx->AcquireShard();
-    const Status status = QueryChunk(specs, shard, outs, stats);
-    ctx->ReleaseShard(shard);
-    return status;
-  }
-  ctx->statuses_.clear();
-  ctx->statuses_.resize(chunks);
-  ThreadPool::Shared().ParallelFor(chunks, [&](size_t c) {
-    const size_t begin = c * count / chunks;
-    const size_t end = (c + 1) * count / chunks;
-    QueryContext::Shard* shard = ctx->AcquireShard();
-    ctx->statuses_[c] =
-        QueryChunk(specs.subspan(begin, end - begin), shard, outs + begin,
-                   stats != nullptr ? stats + begin : nullptr);
-    ctx->ReleaseShard(shard);
-  });
-  for (const Status& status : ctx->statuses_) {
-    LSHE_RETURN_IF_ERROR(status);
-  }
-  return Status::OK();
+  return QueryChunk(specs, ctx, outs, stats);
 }
 
 Result<TunedParams> LshEnsemble::TuneForPartition(size_t index, double q,

@@ -10,10 +10,14 @@
 // unions are returned.
 //
 // The query engine is batched: BatchQuery() answers many queries per call
-// through one partition-major kernel, parallelizing *across queries* on the
-// shared ThreadPool and reusing all per-query scratch through a
-// caller-owned QueryContext, so the steady state performs no allocation.
-// Single-query Query() is a batch of one through the same kernel.
+// through one partition-major kernel on the calling thread, reusing all
+// per-query scratch through a caller-owned QueryContext, so the steady
+// state performs no allocation. Single-query Query() is a batch of one
+// through the same kernel. This engine is a single-thread building block:
+// the only query code that dispatches to the thread pool is the sharded
+// engine's (shard x query-chunk) wave (core/sharded_ensemble.h), so a
+// caller that wants a batch answered in parallel uses a ShardedEnsemble,
+// with S = 1 when it does not want sharding.
 //
 // Typical use:
 //
@@ -38,7 +42,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -104,9 +107,6 @@ struct LshEnsembleOptions {
   int filter_bits_per_key = 16;
   /// Build partition forests on the shared thread pool.
   bool parallel_build = true;
-  /// Parallelize queries on the shared thread pool: BatchQuery() spreads
-  /// chunks of queries over workers.
-  bool parallel_query = true;
 
   Status Validate() const;
 };
@@ -169,55 +169,37 @@ struct QuerySpec {
 class LshEnsemble;
 
 /// \brief Reusable query-path scratch: probe buffers, staged filter keys
-/// and per-chunk buffers, pooled in per-worker shards so one context serves
-/// a whole BatchQuery() fan-out.
+/// and per-batch buffers for one BatchQuery() call at a time.
 ///
 /// A context holds no index state and is bound to no particular ensemble —
 /// buffers grow to the largest index seen and are reused verbatim
 /// afterwards, so steady-state queries allocate nothing. One context must
 /// not be shared by concurrent BatchQuery() calls; give each calling thread
-/// its own (the shard pool only serves the internal across-query
-/// parallelism of a single call).
+/// its own.
 class QueryContext {
  public:
   QueryContext() = default;
   QueryContext(const QueryContext&) = delete;
   QueryContext& operator=(const QueryContext&) = delete;
 
-  /// Approximate heap footprint of all pooled scratch, in bytes.
+  /// Approximate heap footprint of all scratch, in bytes.
   size_t MemoryBytes() const;
-  /// Number of internal shards created so far (one per concurrent worker
-  /// observed; for tests/introspection).
-  size_t num_shards() const { return shards_.size(); }
 
  private:
   friend class LshEnsemble;
   friend class DynamicLshEnsemble;  // candidate buffer for delta merging
 
-  /// One worker's worth of scratch.
-  struct Shard {
-    LshForest::ProbeScratch probe;
-    /// Effective per-query cardinalities of the current chunk.
-    std::vector<double> chunk_q;
-    /// Pre-mixed probe-filter keys of the current chunk (one row of
-    /// num_trees hashes per query; see ProbeFilter::HashKey), and the
-    /// per-query engine-level admit flags derived from them. Staged once
-    /// per chunk and reused across every partition.
-    std::vector<uint64_t> filter_hashes;
-    std::vector<uint8_t> filter_admit;
-    /// Counter sink for calls that pass no stats array.
-    std::vector<QueryStats> stats;
-  };
-
-  Shard* AcquireShard();
-  void ReleaseShard(Shard* shard);
-
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<Shard*> free_;
-
-  // Per-chunk statuses of the current batch.
-  std::vector<Status> statuses_;
+  LshForest::ProbeScratch probe_;
+  /// Effective per-query cardinalities of the current batch.
+  std::vector<double> chunk_q_;
+  /// Pre-mixed probe-filter keys of the current batch (one row of
+  /// num_trees hashes per query; see ProbeFilter::HashKey), and the
+  /// per-query engine-level admit flags derived from them. Staged once
+  /// per batch and reused across every partition.
+  std::vector<uint64_t> filter_hashes_;
+  std::vector<uint8_t> filter_admit_;
+  /// Counter sink for calls that pass no stats array.
+  std::vector<QueryStats> stats_;
   // DynamicLshEnsemble::BatchQuery scratch: the batch's effective query
   // cardinalities (resolved once per batch, reused across every delta
   // record), the specs re-staged with those resolved cardinalities (so
@@ -305,11 +287,10 @@ class LshEnsemble {
   /// `stats` is non-null, query i's diagnostics go to `stats[i]`.
   ///
   /// `outs` (and `stats` if given) must point to arrays of at least
-  /// specs.size() elements. With options().parallel_query the batch is
-  /// spread across the shared ThreadPool in chunks; a batch of one is one
-  /// chunk. Passing `stats` only observes: outputs are identical without
-  /// it. All scratch comes from `ctx`, so a warm context makes the whole
-  /// call allocation-free apart from output growth.
+  /// specs.size() elements. The batch runs on the calling thread. Passing
+  /// `stats` only observes: outputs are identical without it. All scratch
+  /// comes from `ctx`, so a warm context makes the whole call
+  /// allocation-free apart from output growth.
   ///
   /// On error the first failing query's status is returned and the
   /// contents of `outs`/`stats` are unspecified.
@@ -372,9 +353,8 @@ class LshEnsemble {
   /// partition's key arenas stay cache-hot across the whole run. Each
   /// query's output is independent of the run it shares. `stats` may be
   /// null; the counters are kept either way.
-  Status QueryChunk(std::span<const QuerySpec> specs,
-                    QueryContext::Shard* shard, std::vector<uint64_t>* outs,
-                    QueryStats* stats) const;
+  Status QueryChunk(std::span<const QuerySpec> specs, QueryContext* ctx,
+                    std::vector<uint64_t>* outs, QueryStats* stats) const;
 
   LshEnsembleOptions options_;
   std::shared_ptr<const HashFamily> family_;

@@ -41,15 +41,13 @@ Status ShardedEnsembleOptions::Validate() const {
 
 namespace {
 
-/// The per-shard engine policy: shards are the unit of parallelism, so
-/// their engines must stay off the pool (a shard task dispatching a
-/// nested wave could deadlock it), and their rebuild schedule is driven
-/// globally from this layer.
+/// The per-shard engine policy: shard rebuilds stay off the pool (they
+/// run under every shard's write lock; see FlushLocked), and their
+/// rebuild schedule is driven globally from this layer.
 DynamicEnsembleOptions ShardEngineOptions(
     const ShardedEnsembleOptions& options) {
   DynamicEnsembleOptions shard_options = options.base;
   shard_options.base.parallel_build = false;
-  shard_options.base.parallel_query = false;
   shard_options.min_delta_for_rebuild = std::numeric_limits<size_t>::max();
   return shard_options;
 }
@@ -77,6 +75,12 @@ Result<ShardedEnsemble> ShardedEnsemble::Create(
 
 size_t ShardedEnsemble::ShardOf(uint64_t id) const {
   return static_cast<size_t>(Mix64(id) % shards_.size());
+}
+
+size_t ShardedEnsemble::ChunksPerShard(size_t count, size_t num_shards,
+                                       size_t participants) {
+  const size_t per_shard = (2 * participants + num_shards - 1) / num_shards;
+  return std::min(count, per_shard);
 }
 
 Status ShardedEnsemble::GuardNotInWorker(const char* what) const {
@@ -371,21 +375,22 @@ size_t ShardedEnsemble::in_flight_batches() const {
   return counters_->in_flight.load(std::memory_order_relaxed);
 }
 
-ShardedEnsemble::Shard::Scratch* ShardedEnsemble::Shard::AcquireScratch()
-    const {
+void ShardedEnsemble::Shard::AcquireScratch(std::span<Scratch*> out) const {
   std::lock_guard<std::mutex> lock(scratch_mutex);
-  if (!scratch_free.empty()) {
-    Scratch* scratch = scratch_free.back();
-    scratch_free.pop_back();
-    return scratch;
+  const size_t reused = std::min(out.size(), scratch_free.size());
+  const auto first = scratch_free.end() - static_cast<ptrdiff_t>(reused);
+  std::copy(first, scratch_free.end(), out.begin());
+  scratch_free.erase(first, scratch_free.end());
+  for (size_t c = reused; c < out.size(); ++c) {
+    scratch_pool.push_back(std::make_unique<Scratch>());
+    out[c] = scratch_pool.back().get();
   }
-  scratch_pool.push_back(std::make_unique<Scratch>());
-  return scratch_pool.back().get();
 }
 
-void ShardedEnsemble::Shard::ReleaseScratch(Scratch* scratch) const {
+void ShardedEnsemble::Shard::ReleaseScratch(
+    std::span<Scratch* const> scratch) const {
   std::lock_guard<std::mutex> lock(scratch_mutex);
-  scratch_free.push_back(scratch);
+  scratch_free.insert(scratch_free.end(), scratch.begin(), scratch.end());
 }
 
 Status ShardedEnsemble::BatchQuery(std::span<const QuerySpec> specs,
@@ -436,47 +441,67 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
     }
   }
 
-  // Scatter: ONE wave over the shards. Each shard task takes its shard's
-  // read lock, borrows pinned scratch, and walks the whole batch
-  // sequentially (the shard engines have pool parallelism off, so the
-  // wave never nests a dispatch). Queries inside the shard run through the
-  // engine's partition-major query kernel. The scatter still VISITS every
-  // shard, but it rarely COSTS every shard: each shard engine consults its
-  // union probe filter (filter/probe_filter.h) first and rejects a query
-  // none of its partitions can answer in O(trees) filter probes — so on a
-  // skewed corpus each query does forest work only in the shards that may
-  // hold its keys, and pruning needs no cross-shard routing state here.
-  std::vector<Shard::Scratch*> scratch(num_shards, nullptr);
-  std::vector<Status> statuses(num_shards);
-  ThreadPool::Shared().ParallelFor(num_shards, [&](size_t s) {
-    const Shard& shard = *shards_[s];
+  // Scatter: ONE wave of (shard x query-chunk) tasks, the only query
+  // dispatch to the pool. Chunks split each shard's batch so a wave keeps
+  // every participant busy even at S = 1; each task takes its shard's
+  // read lock and runs its chunk through the shard's single-thread engine
+  // (partition-major kernel, then delta scan) with its own pinned
+  // scratch. The scatter still VISITS every shard, but it rarely COSTS
+  // every shard: each shard engine consults its union probe filter
+  // (filter/probe_filter.h) first and rejects a query none of its
+  // partitions can answer in O(trees) filter probes — so on a skewed
+  // corpus each query does forest work only in the shards that may hold
+  // its keys, and pruning needs no cross-shard routing state here.
+  const size_t chunks = ChunksPerShard(
+      count, num_shards, ThreadPool::Shared().num_threads() + 1);
+  const size_t tasks = num_shards * chunks;
+  auto chunk_begin = [&](size_t c) { return c * count / chunks; };
+  std::vector<Shard::Scratch*> scratch(tasks, nullptr);
+  for (size_t s = 0; s < num_shards; ++s) {
+    shards_[s]->AcquireScratch(
+        std::span(scratch).subspan(s * chunks, chunks));
+  }
+  std::vector<Status> statuses(tasks);
+  ThreadPool::Shared().ParallelFor(tasks, [&](size_t task) {
+    const Shard& shard = *shards_[task / chunks];
+    const size_t c = task % chunks;
+    const size_t begin = chunk_begin(c);
+    const size_t len = chunk_begin(c + 1) - begin;
+    Shard::Scratch& mine = *scratch[task];
+    if (mine.outs.size() < len) mine.outs.resize(len);
+    mine.stats.resize(len);
     std::shared_lock lock(shard.mutex);
-    Shard::Scratch* mine = shard.AcquireScratch();
-    scratch[s] = mine;
-    if (mine->outs.size() < count) mine->outs.resize(count);
-    mine->stats.resize(count);
-    statuses[s] = shard.engine.BatchQuery(resolved, &mine->ctx,
-                                          mine->outs.data(),
-                                          mine->stats.data());
+    statuses[task] = shard.engine.BatchQuery(
+        std::span<const QuerySpec>(resolved).subspan(begin, len), &mine.ctx,
+        mine.outs.data(), mine.stats.data());
+    // Sorting here keeps it off the serial gather: at S = 1 a chunk's
+    // sorted candidates are already the canonical output.
+    if (sort_outputs) {
+      for (size_t j = 0; j < len; ++j) {
+        std::sort(mine.outs[j].begin(), mine.outs[j].end());
+      }
+    }
   });
 
-  // Classify the shard outcomes. A deadline expiry inside a shard is
-  // fatal by default; in partial-results mode it only skips that shard's
-  // contribution (the others still gathered a full answer for their ids).
-  // Any other failure is fatal either way.
+  // Classify the task outcomes. A deadline expiry inside a task is fatal
+  // by default; in partial-results mode it only skips that shard's
+  // contribution — the whole shard, even when its other chunks finished,
+  // so every query of the batch gathers from the same shards. Any other
+  // failure is fatal either way.
   const bool partial = options_.partial_results;
   Status first_error = Status::OK();
-  std::vector<bool> shard_gathered(num_shards, false);
-  size_t gathered_count = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (statuses[s].ok()) {
-      shard_gathered[s] = true;
-      ++gathered_count;
-    } else if (!(partial && statuses[s].IsDeadlineExceeded())) {
-      first_error = statuses[s];
+  std::vector<bool> shard_gathered(num_shards, true);
+  for (size_t task = 0; task < tasks; ++task) {
+    const Status& status = statuses[task];
+    if (status.ok()) continue;
+    if (!(partial && status.IsDeadlineExceeded())) {
+      first_error = status;
       break;
     }
+    shard_gathered[task / chunks] = false;
   }
+  const auto gathered_count = static_cast<size_t>(
+      std::count(shard_gathered.begin(), shard_gathered.end(), true));
   if (first_error.ok() && gathered_count == 0) {
     // Partial mode with EVERY shard expired: there is no partial answer
     // to return, only the deadline failure itself.
@@ -485,42 +510,56 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
   if (first_error.ok()) {
     // Gather: per query, concatenate the shard candidate sets (disjoint —
     // every id lives in exactly one shard) and canonicalize to ascending
-    // id so the output is independent of shard count and merge order.
-    for (size_t i = 0; i < count; ++i) {
-      std::vector<uint64_t>& out = outs[i];
-      out.clear();
-      size_t total = 0;
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (shard_gathered[s]) total += scratch[s]->outs[i].size();
-      }
-      out.reserve(total);
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (!shard_gathered[s]) continue;
-        const std::vector<uint64_t>& part = scratch[s]->outs[i];
-        out.insert(out.end(), part.begin(), part.end());
-      }
-      if (sort_outputs) std::sort(out.begin(), out.end());
-      if (stats != nullptr) {
-        // Shard-summed probe counters plus the gather split.
-        QueryStats& merged = stats[i];
-        merged = QueryStats{};
+    // id so the output is independent of shard count and merge order; one
+    // shard's sorted set needs no merge. Query i of chunk c sits at
+    // i - chunk_begin(c) in that chunk's scratch on every shard.
+    for (size_t c = 0; c < chunks; ++c) {
+      const size_t begin = chunk_begin(c);
+      const size_t end = chunk_begin(c + 1);
+      for (size_t i = begin; i < end; ++i) {
+        const size_t local = i - begin;
+        std::vector<uint64_t>& out = outs[i];
+        out.clear();
+        size_t total = 0;
+        for (size_t s = 0; s < num_shards; ++s) {
+          if (shard_gathered[s]) {
+            total += scratch[s * chunks + c]->outs[local].size();
+          }
+        }
+        out.reserve(total);
         for (size_t s = 0; s < num_shards; ++s) {
           if (!shard_gathered[s]) continue;
-          const QueryStats& part_stats = scratch[s]->stats[i];
-          merged.query_size_used = part_stats.query_size_used;
-          merged.partitions_probed += part_stats.partitions_probed;
-          merged.partitions_pruned += part_stats.partitions_pruned;
-          merged.partitions_filter_skipped +=
-              part_stats.partitions_filter_skipped;
-          merged.filter_false_admits += part_stats.filter_false_admits;
+          const std::vector<uint64_t>& part =
+              scratch[s * chunks + c]->outs[local];
+          out.insert(out.end(), part.begin(), part.end());
         }
-        merged.shards_gathered = gathered_count;
-        merged.shards_skipped = num_shards - gathered_count;
+        if (sort_outputs && num_shards > 1) {
+          std::sort(out.begin(), out.end());
+        }
+        if (stats != nullptr) {
+          // Shard-summed probe counters plus the gather split.
+          QueryStats& merged = stats[i];
+          merged = QueryStats{};
+          for (size_t s = 0; s < num_shards; ++s) {
+            if (!shard_gathered[s]) continue;
+            const QueryStats& part_stats =
+                scratch[s * chunks + c]->stats[local];
+            merged.query_size_used = part_stats.query_size_used;
+            merged.partitions_probed += part_stats.partitions_probed;
+            merged.partitions_pruned += part_stats.partitions_pruned;
+            merged.partitions_filter_skipped +=
+                part_stats.partitions_filter_skipped;
+            merged.filter_false_admits += part_stats.filter_false_admits;
+          }
+          merged.shards_gathered = gathered_count;
+          merged.shards_skipped = num_shards - gathered_count;
+        }
       }
     }
   }
   for (size_t s = 0; s < num_shards; ++s) {
-    if (scratch[s] != nullptr) shards_[s]->ReleaseScratch(scratch[s]);
+    shards_[s]->ReleaseScratch(
+        std::span(scratch).subspan(s * chunks, chunks));
   }
   return first_error;
 }

@@ -17,19 +17,21 @@
 //    depends only on the global boundaries, so the union of shard
 //    candidates equals the unsharded engine's candidate set exactly —
 //    sharding changes throughput, never results.
-//  * BatchQuery() scatters the batch to all shards in ONE thread-pool
-//    wave (shards in the outer, parallel loop; each shard walks its query
-//    chunks sequentially inside its task — shard engines are built with
-//    pool parallelism off, so a wave never nests a dispatch), gathers the
-//    per-shard outputs, and merges them into caller-order results, each
-//    query's candidates in canonical ascending-id order. Inside each
-//    shard task the engine's probe-filter tier (filter/probe_filter.h)
-//    turns the all-shard scatter into an effectively routed probe: a
-//    query whose slot-0 keys miss a shard's union filter is rejected by
-//    that shard in O(trees) Bloom probes before any forest work, and a
-//    query that passes skips the individual partitions its keys miss —
-//    with one-sided error, so the merged output is byte-identical to the
-//    unfiltered scatter.
+//  * BatchQuery() scatters the batch in ONE thread-pool wave of
+//    (shard x query-chunk) tasks — the only place any query work reaches
+//    the pool. Each shard's batch is cut into ChunksPerShard() contiguous
+//    chunks, so a wave keeps every pool thread busy at any shard count,
+//    S = 1 included; each task answers its chunk on one shard's
+//    single-thread engine, under that shard's read lock, with its own
+//    pinned scratch. The gather merges the per-chunk outputs into
+//    caller-order results, each query's candidates in canonical
+//    ascending-id order. Inside each task the engine's probe-filter tier
+//    (filter/probe_filter.h) turns the all-shard scatter into an
+//    effectively routed probe: a query whose slot-0 keys miss a shard's
+//    union filter is rejected by that shard in O(trees) Bloom probes
+//    before any forest work, and a query that passes skips the
+//    individual partitions its keys miss — with one-sided error, so the
+//    merged output is byte-identical to the unfiltered scatter.
 //  * BatchSearch() runs the lockstep top-k descent (TopKSearcher bound to
 //    this layer): each round's threshold probe is one scatter/gather over
 //    the shards, and every query's retire decision comes from the k-th
@@ -37,8 +39,10 @@
 //    identical to the unsharded TopKSearcher.
 //
 // Per-shard scratch (QueryContext + gather staging) is pooled per shard
-// only so concurrent calls get separate scratch; a context holds no index
-// state.
+// so every task of a wave, and every concurrent call, gets its own; a
+// context holds no index state. An unsharded caller that wants a batch
+// answered in parallel builds this layer with S = 1: LshEnsemble and
+// DynamicLshEnsemble answer on the calling thread.
 //
 // Threading contract: Insert/Remove/Flush are safe concurrently with
 // BatchQuery (per-shard locks); concurrent mutators are serialized per
@@ -81,8 +85,8 @@ struct ShardedEnsembleOptions {
   /// Per-shard build/query options plus the global rebuild policy. The
   /// rebuild trigger is evaluated on corpus-global counts (total delta vs
   /// total indexed), matching the unsharded engine's schedule on the same
-  /// insert sequence. Pool parallelism flags are overridden per shard
-  /// (shards are the unit of parallelism here).
+  /// insert sequence. parallel_build is overridden per shard: shard
+  /// rebuilds run serially under the shard write locks.
   DynamicEnsembleOptions base;
   /// Number of shards S; hash(id) mod S picks a domain's shard.
   size_t num_shards = 1;
@@ -96,7 +100,9 @@ struct ShardedEnsembleOptions {
   /// Opt-in partial results: when a shard's gather fails ONLY because a
   /// query deadline expired, BatchQuery returns OK with the candidates
   /// from the shards that finished and reports the split per query in
-  /// QueryStats::shards_gathered / shards_skipped (stats overload). Off,
+  /// QueryStats::shards_gathered / shards_skipped (stats overload). A
+  /// shard counts as finished only when every query chunk of its batch
+  /// finished, so one expired chunk skips the whole shard. Off,
   /// a deadline expiry anywhere fails the whole batch with
   /// DeadlineExceeded. Any other shard error is fatal either way.
   bool partial_results = false;
@@ -199,6 +205,16 @@ class ShardedEnsemble {
                      std::vector<TopKResult>* outs) const;
 
   size_t num_shards() const { return shards_.size(); }
+
+  /// \brief The scatter's chunk rule: a batch of `count` queries is cut
+  /// into min(count, ceil(2 * participants / num_shards)) contiguous
+  /// chunks per shard, where `participants` is the pool's thread count
+  /// plus the calling thread. That gives a wave about two tasks per
+  /// thread at every shard count. Chunk c spans queries
+  /// [c * count / chunks, (c + 1) * count / chunks).
+  static size_t ChunksPerShard(size_t count, size_t num_shards,
+                               size_t participants);
+
   /// The hash family every shard shares; queries must be sketched with
   /// it (network callers check seed/num_hashes against this).
   const std::shared_ptr<const HashFamily>& family() const { return family_; }
@@ -305,6 +321,9 @@ class ShardedEnsemble {
   /// per-round waste.
   friend class TopKSearcher;
 
+  /// Tests reach a shard's lock to hold a shard back mid-wave.
+  friend class ShardedEnsembleTestPeer;
+
   /// One shard: its engine, its reader/writer lock, and its scratch pool.
   struct Shard {
     explicit Shard(DynamicLshEnsemble e) : engine(std::move(e)) {}
@@ -312,19 +331,23 @@ class ShardedEnsemble {
     DynamicLshEnsemble engine;
     /// Guards `engine` (shared for queries, exclusive for mutation).
     mutable std::shared_mutex mutex;
-    /// Pooled per-call scratch: pooled only so concurrent calls get
-    /// separate scratch.
+    /// One scatter task's scratch: the chunk's context, its gather
+    /// staging and its per-query counters (indexed from the chunk start).
     struct Scratch {
       QueryContext ctx;
-      std::vector<std::vector<uint64_t>> outs;  // gather staging
-      std::vector<QueryStats> stats;            // per-query shard counters
+      std::vector<std::vector<uint64_t>> outs;
+      std::vector<QueryStats> stats;
     };
     mutable std::mutex scratch_mutex;
     mutable std::vector<std::unique_ptr<Scratch>> scratch_pool;
     mutable std::vector<Scratch*> scratch_free;
 
-    Scratch* AcquireScratch() const;
-    void ReleaseScratch(Scratch* scratch) const;
+    /// Pin one scratch per chunk of a call (out[c] serves chunk c), and
+    /// return them. Release hands them back in order, so a serial caller
+    /// gets the same scratch for the same chunk every call and its warm
+    /// buffers fit.
+    void AcquireScratch(std::span<Scratch*> out) const;
+    void ReleaseScratch(std::span<Scratch* const> scratch) const;
   };
 
   ShardedEnsemble(ShardedEnsembleOptions options,

@@ -154,7 +154,6 @@ Result<std::vector<AccuracyCell>> AccuracyExperiment::RunConfig(
     options.tree_depth = options_.tree_depth;
     options.strategy = config.strategy;
     options.interpolation_lambda = config.interpolation_lambda;
-    options.parallel_query = false;
     LshEnsembleBuilder builder(options, family_);
     for (size_t i : index_indices_) {
       const Domain& domain = corpus_.domain(i);

@@ -71,7 +71,7 @@ class EnsembleSerializer {
     PutVarint32(&payload, static_cast<uint32_t>(options.integration_nodes));
     payload.push_back(options.prune_unreachable_partitions ? 1 : 0);
     payload.push_back(options.parallel_build ? 1 : 0);
-    payload.push_back(options.parallel_query ? 1 : 0);
+    payload.push_back(0);  // reserved: written 0, ignored on read
     PutFixed64(&payload, ensemble.family_->seed());
     PutVarint64(&payload, ensemble.total_);
     AppendBlock(out, kBlockOptions, payload);
@@ -156,7 +156,8 @@ class EnsembleSerializer {
           options.integration_nodes = static_cast<int>(integration_nodes);
           options.prune_unreachable_partitions = flags[0] != 0;
           options.parallel_build = flags[1] != 0;
-          options.parallel_query = flags[2] != 0;
+          // flags[2] is reserved (a retired query-parallelism flag): any
+          // value loads.
           LSHE_RETURN_IF_ERROR(options.Validate());
           saw_options = true;
           break;

@@ -183,7 +183,7 @@ class SnapshotIO {
     PutVarint32(&manifest, static_cast<uint32_t>(options.integration_nodes));
     manifest.push_back(options.prune_unreachable_partitions ? 1 : 0);
     manifest.push_back(options.parallel_build ? 1 : 0);
-    manifest.push_back(options.parallel_query ? 1 : 0);
+    manifest.push_back(0);  // reserved: written 0, ignored on read
     PutFixed64(&manifest, seed);
     PutVarint64(&manifest, total);
 
@@ -468,7 +468,8 @@ class SnapshotIO {
     options.integration_nodes = static_cast<int>(integration_nodes);
     options.prune_unreachable_partitions = flags[0] != 0;
     options.parallel_build = flags[1] != 0;
-    options.parallel_query = flags[2] != 0;
+    // flags[2] is reserved (a retired query-parallelism flag): any value
+    // opens.
     LSHE_RETURN_IF_ERROR(options.Validate());
 
     // Bound the count by what the manifest could possibly hold (>= 3
@@ -809,13 +810,12 @@ class SnapshotIO {
       // The snapshot's options describe the arenas (partitions, tree
       // shape); query-time POLICY comes from the caller, exactly as a
       // heap rebuild would apply it. Without this override the indexed
-      // path would prune (or pool-dispatch) per the flags the index was
-      // SAVED with while the delta scan follows the caller's — two
-      // admission rules in one engine until the first Flush().
+      // path would prune per the flags the index was SAVED with while the
+      // delta scan follows the caller's — two admission rules in one
+      // engine until the first Flush().
       index.ensemble_->options_.prune_unreachable_partitions =
           options.base.prune_unreachable_partitions;
       index.ensemble_->options_.parallel_build = options.base.parallel_build;
-      index.ensemble_->options_.parallel_query = options.base.parallel_query;
       // Filter policy too: whether the image carried filters is a fact of
       // the snapshot (filters_ presence), but whether future rebuilds
       // build them — and at what density — follows the caller.

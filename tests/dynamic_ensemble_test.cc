@@ -313,8 +313,7 @@ TEST_F(DynamicEnsembleTest, ContextQueryIsWarmAfterFirstCall) {
 
   QueryContext ctx;
   std::vector<uint64_t> results;
-  // Warm the context (shard pool sizing can settle over the first few
-  // calls when workers race for shards), then require it to stop growing.
+  // Warm the context, then require it to stop growing.
   for (int rep = 0; rep < 8; ++rep) {
     ASSERT_TRUE(index.Query(Sketch(2), corpus_->domain(2).size(), 0.5, &ctx,
                             &results)
@@ -335,13 +334,10 @@ class DynamicBatchQueryTest : public DynamicEnsembleTest {
  protected:
   // A mid-rebuild index: 150 indexed domains, ~90 in the delta, removals
   // on both sides (tombstones + dropped delta entries). Rebuilds are
-  // disabled so the mixed state stays put. Pass parallel_query = false
-  // for tests that need deterministic scratch sizing: the shard pool
-  // grows to the number of concurrent workers *observed*, which is racy.
-  void BuildMixedIndex(bool parallel_query = true) {
+  // disabled so the mixed state stays put.
+  void BuildMixedIndex() {
     DynamicEnsembleOptions options = SmallOptions();
     options.min_delta_for_rebuild = 100000;
-    options.base.parallel_query = parallel_query;
     index_.emplace(DynamicLshEnsemble::Create(options, family_).value());
     for (size_t i = 0; i < 240; ++i) {
       ASSERT_TRUE(InsertDomain(*index_, i).ok());
@@ -605,7 +601,7 @@ TEST_F(DynamicBatchQueryTest, BatchValidationAndEmptyBatch) {
 }
 
 TEST_F(DynamicBatchQueryTest, WarmContextStopsGrowing) {
-  BuildMixedIndex(/*parallel_query=*/false);
+  BuildMixedIndex();
   std::vector<size_t> query_indices;
   for (size_t qi = 0; qi < 240; qi += 15) query_indices.push_back(qi);
   std::vector<MinHash> sketches;
@@ -630,7 +626,7 @@ TEST_F(DynamicBatchQueryTest, WarmContextStopsGrowing) {
 // A context holds no index state: once warm, it keeps its size while the
 // delta it scans grows.
 TEST_F(DynamicBatchQueryTest, WarmContextIgnoresDeltaGrowth) {
-  BuildMixedIndex(/*parallel_query=*/false);
+  BuildMixedIndex();
   std::vector<size_t> query_indices;
   for (size_t qi = 0; qi < 240; qi += 15) query_indices.push_back(qi);
   std::vector<MinHash> sketches;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <random>
 #include <string>
@@ -512,6 +513,53 @@ TEST_F(EnsembleIoTest, LoadedIndexAnswersBatchQueriesIdentically) {
   ASSERT_TRUE(loaded->BatchQuery(specs, &ctx_b, actual.data()).ok());
   for (size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(actual[i], expected[i]) << "query " << i;
+  }
+}
+
+// The OPTIONS block's third flag byte is reserved: written 0, and an
+// image carrying any other value (images from before the byte was
+// reserved carry 1) loads and answers identically.
+TEST_F(EnsembleIoTest, ReservedOptionsByteIsWrittenZeroAndIgnored) {
+  std::string image;
+  ASSERT_TRUE(SerializeEnsemble(*ensemble_, &image).ok());
+  // Header (magic, version), then the OPTIONS block: type byte, varint
+  // length, payload, masked CRC of the payload.
+  DecodeCursor cursor(std::string_view(image).substr(9));
+  std::string_view payload;
+  ASSERT_TRUE(cursor.GetLengthPrefixed(&payload));
+  const size_t payload_offset = image.size() - cursor.remaining() -
+                                payload.size();
+  std::string fields;
+  PutVarint32(&fields, static_cast<uint32_t>(options_.num_partitions));
+  PutVarint32(&fields, static_cast<uint32_t>(options_.num_hashes));
+  PutVarint32(&fields, static_cast<uint32_t>(options_.tree_depth));
+  fields.push_back(static_cast<char>(options_.strategy));
+  PutFixed64(&fields, std::bit_cast<uint64_t>(options_.interpolation_lambda));
+  PutVarint32(&fields, static_cast<uint32_t>(options_.integration_nodes));
+  fields.push_back(options_.prune_unreachable_partitions ? 1 : 0);
+  fields.push_back(options_.parallel_build ? 1 : 0);
+  ASSERT_EQ(payload.substr(0, fields.size()), fields);
+  const size_t reserved = payload_offset + fields.size();
+  EXPECT_EQ(image[reserved], 0);
+
+  std::string patched = image;
+  patched[reserved] = 1;
+  std::string crc;
+  PutFixed32(&crc, crc32c::Mask(crc32c::Value(std::string_view(patched).substr(
+                       payload_offset, payload.size()))));
+  patched.replace(payload_offset + payload.size(), 4, crc);
+  auto loaded = DeserializeEnsemble(patched);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  std::string reserialized;
+  ASSERT_TRUE(SerializeEnsemble(*loaded, &reserialized).ok());
+  EXPECT_EQ(reserialized, image);
+  for (size_t qi = 0; qi < corpus_->size(); qi += 97) {
+    const MinHash sketch = QuerySketch(qi);
+    const size_t q = corpus_->domain(qi).size();
+    std::vector<uint64_t> expected, actual;
+    ASSERT_TRUE(ensemble_->Query(sketch, q, 0.5, &expected).ok());
+    ASSERT_TRUE(loaded->Query(sketch, q, 0.5, &actual).ok());
+    EXPECT_EQ(actual, expected) << "query " << qi;
   }
 }
 

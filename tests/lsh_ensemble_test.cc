@@ -6,10 +6,12 @@
 #include <set>
 #include <vector>
 
+#include "core/sharded_ensemble.h"
 #include "data/corpus.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace lshensemble {
@@ -206,31 +208,65 @@ TEST(LshEnsembleTest, QueryValidation) {
   EXPECT_FALSE(ensemble->Query(foreign, 10, 0.5, &out).ok());
 }
 
+// An LshEnsemble answers on the calling thread; the parallel path is the
+// sharded scatter, which at S = 1 cuts a batch into query chunks across
+// the pool. Its answers and counters must equal the serial building
+// block's.
 TEST(LshEnsembleTest, ParallelAndSerialQueriesAgree) {
   const Corpus corpus = SmallCorpus(1500, 6);
   auto family = Family();
-  LshEnsembleOptions parallel_options;
-  parallel_options.num_partitions = 16;
-  parallel_options.parallel_query = true;
-  LshEnsembleOptions serial_options = parallel_options;
-  serial_options.parallel_query = false;
-  serial_options.parallel_build = false;
-  auto parallel_index = BuildEnsemble(corpus, parallel_options, family);
-  auto serial_index = BuildEnsemble(corpus, serial_options, family);
-  ASSERT_TRUE(parallel_index.ok());
+  LshEnsembleOptions options;
+  options.num_partitions = 16;
+  options.parallel_build = false;
+  auto serial_index = BuildEnsemble(corpus, options, family);
   ASSERT_TRUE(serial_index.ok());
 
+  ShardedEnsembleOptions sharded_options;
+  sharded_options.base.base = options;
+  sharded_options.base.min_delta_for_rebuild = corpus.size() + 1;
+  auto parallel_index = ShardedEnsemble::Create(sharded_options, family);
+  ASSERT_TRUE(parallel_index.ok());
+  std::vector<MinHash> sketches;
+  sketches.reserve(corpus.size());
+  for (const Domain& domain : corpus.domains()) {
+    sketches.push_back(MinHash::FromValues(family, domain.values));
+    ASSERT_TRUE(
+        parallel_index->Insert(domain.id, domain.size(), sketches.back())
+            .ok());
+  }
+  ASSERT_TRUE(parallel_index->Flush().ok());
+
+  std::vector<QuerySpec> specs;
   for (size_t i = 0; i < corpus.size(); i += 100) {
-    const Domain& domain = corpus.domain(i);
-    auto sketch = MinHash::FromValues(family, domain.values);
-    std::vector<uint64_t> parallel_out, serial_out;
-    ASSERT_TRUE(
-        parallel_index->Query(sketch, domain.size(), 0.5, &parallel_out).ok());
-    ASSERT_TRUE(
-        serial_index->Query(sketch, domain.size(), 0.5, &serial_out).ok());
-    std::sort(parallel_out.begin(), parallel_out.end());
-    std::sort(serial_out.begin(), serial_out.end());
-    EXPECT_EQ(parallel_out, serial_out) << "query " << i;
+    specs.push_back(QuerySpec{&sketches[i], corpus.domain(i).size(), 0.5});
+  }
+  ASSERT_GT(ShardedEnsemble::ChunksPerShard(
+                specs.size(), 1, ThreadPool::Shared().num_threads() + 1),
+            1u);
+  std::vector<std::vector<uint64_t>> parallel_outs(specs.size());
+  std::vector<QueryStats> parallel_stats(specs.size());
+  ASSERT_TRUE(parallel_index
+                  ->BatchQuery(specs, parallel_outs.data(),
+                               parallel_stats.data())
+                  .ok());
+  std::vector<std::vector<uint64_t>> serial_outs(specs.size());
+  std::vector<QueryStats> serial_stats(specs.size());
+  QueryContext ctx;
+  ASSERT_TRUE(serial_index
+                  ->BatchQuery(specs, &ctx, serial_outs.data(),
+                               serial_stats.data())
+                  .ok());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    std::sort(serial_outs[i].begin(), serial_outs[i].end());
+    EXPECT_EQ(parallel_outs[i], serial_outs[i]) << "query " << i;
+    EXPECT_EQ(parallel_stats[i].partitions_probed,
+              serial_stats[i].partitions_probed);
+    EXPECT_EQ(parallel_stats[i].partitions_pruned,
+              serial_stats[i].partitions_pruned);
+    EXPECT_EQ(parallel_stats[i].partitions_filter_skipped,
+              serial_stats[i].partitions_filter_skipped);
+    EXPECT_EQ(parallel_stats[i].filter_false_admits,
+              serial_stats[i].filter_false_admits);
   }
 }
 
@@ -543,7 +579,6 @@ TEST(LshEnsembleTest, BatchQueryMatchesSingleQueries) {
   std::vector<std::vector<uint64_t>> again(kQueries);
   ASSERT_TRUE(ensemble->BatchQuery(specs, &ctx, again.data()).ok());
   for (size_t i = 0; i < kQueries; ++i) EXPECT_EQ(again[i], batch_outs[i]);
-  EXPECT_GE(ctx.num_shards(), 1u);
 }
 
 // A QueryContext is documented as bound to no particular ensemble: its
@@ -562,7 +597,6 @@ TEST(LshEnsembleTest, QueryContextReusableAcrossEnsembles) {
 
   LshEnsembleOptions options;
   options.num_partitions = 8;
-  options.parallel_query = false;  // serial path: one shard's scratch
   auto small_index = BuildEnsemble(small_corpus, options, family);
   auto big_index = BuildEnsemble(big_corpus, options, family);
   ASSERT_TRUE(small_index.ok());

@@ -12,7 +12,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <span>
 #include <thread>
 #include <vector>
@@ -23,11 +26,23 @@
 #include "data/sketcher.h"
 #include "filter/probe_filter.h"
 #include "lsh/lsh_forest.h"
+#include "util/clock.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace lshensemble {
+
+/// Holds a shard's lock from a test, to keep the scatter's tasks for that
+/// shard waiting while the rest of the wave finishes.
+class ShardedEnsembleTestPeer {
+ public:
+  static std::shared_mutex& ShardMutex(const ShardedEnsemble& index,
+                                       size_t shard) {
+    return index.shards_[shard]->mutex;
+  }
+};
+
 namespace {
 
 constexpr int kNumHashes = 128;
@@ -104,19 +119,42 @@ TEST_F(ShardedEnsembleTest, ShardOfIsStableAndInRange) {
   }
 }
 
+// The scatter's fixed chunk rule: min(count, ceil(2P / S)) chunks per
+// shard, so a wave has about two tasks per participant at every S.
+TEST(ShardedScatterTest, ChunksPerShardRule) {
+  // P = 3 (two pool threads plus the caller).
+  EXPECT_EQ(ShardedEnsemble::ChunksPerShard(4096, 1, 3), 6u);
+  EXPECT_EQ(ShardedEnsemble::ChunksPerShard(4096, 2, 3), 3u);
+  EXPECT_EQ(ShardedEnsemble::ChunksPerShard(4096, 4, 3), 2u);
+  EXPECT_EQ(ShardedEnsemble::ChunksPerShard(4096, 8, 3), 1u);
+  EXPECT_EQ(ShardedEnsemble::ChunksPerShard(4096, 6, 3), 1u);
+  EXPECT_EQ(ShardedEnsemble::ChunksPerShard(4096, 5, 3), 2u);
+  // Never more chunks than queries: a single query is a chunk of one.
+  EXPECT_EQ(ShardedEnsemble::ChunksPerShard(1, 1, 3), 1u);
+  EXPECT_EQ(ShardedEnsemble::ChunksPerShard(2, 1, 3), 2u);
+  EXPECT_EQ(ShardedEnsemble::ChunksPerShard(0, 1, 3), 0u);
+  // A caller with no pool threads still splits into two chunks at S = 1.
+  EXPECT_EQ(ShardedEnsemble::ChunksPerShard(64, 1, 1), 2u);
+  EXPECT_EQ(ShardedEnsemble::ChunksPerShard(64, 3, 1), 1u);
+}
+
 // The core property: through every lifecycle stage — pure delta, flushed,
 // mid-batch delta on top of a build, tombstones, re-inserts — the sharded
-// candidates equal the unsharded engine's for every shard count.
+// candidates equal the unsharded engine's for every shard count and every
+// batch size. At S = 1, batch sizes 1, 2, 7 and 300 give the scatter 1,
+// 2, min(7, 2P) and 2P query chunks (P = pool threads + 1); larger S
+// gets fewer chunks per shard. A batch also equals its queries asked one
+// at a time.
 TEST_F(ShardedEnsembleTest, BatchQueryMatchesUnshardedThroughLifecycle) {
-  const std::vector<QuerySpec> specs = SampleSpecs(48);
+  const std::vector<QuerySpec> all_specs = SampleSpecs(300);
 
   DynamicEnsembleOptions reference_options = ShardOptions(1).base;
-  // Restore the pool flags the sharded layer turns off per shard: results
-  // must not depend on them.
+  // Restore the build flag the sharded layer turns off per shard: results
+  // must not depend on it.
   reference_options.base.parallel_build = true;
-  reference_options.base.parallel_query = true;
 
-  for (const size_t num_shards : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+  for (const size_t num_shards :
+       {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{8}}) {
     SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
     auto reference =
         DynamicLshEnsemble::Create(reference_options, family_).value();
@@ -125,14 +163,25 @@ TEST_F(ShardedEnsembleTest, BatchQueryMatchesUnshardedThroughLifecycle) {
 
     auto expect_equal = [&](const char* stage) {
       SCOPED_TRACE(stage);
-      std::vector<std::vector<uint64_t>> expected(specs.size());
-      std::vector<std::vector<uint64_t>> actual(specs.size());
-      QueryContext ctx;
-      ASSERT_TRUE(reference.BatchQuery(specs, &ctx, expected.data()).ok());
-      ASSERT_TRUE(sharded.BatchQuery(specs, actual.data()).ok());
-      for (auto& out : expected) std::sort(out.begin(), out.end());
-      for (size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(actual[i], expected[i]) << "query " << i;
+      for (const size_t batch : {size_t{1}, size_t{2}, size_t{7},
+                                 size_t{300}}) {
+        SCOPED_TRACE("batch=" + std::to_string(batch));
+        const std::span<const QuerySpec> specs(all_specs.data(), batch);
+        std::vector<std::vector<uint64_t>> expected(batch);
+        std::vector<std::vector<uint64_t>> actual(batch);
+        QueryContext ctx;
+        ASSERT_TRUE(reference.BatchQuery(specs, &ctx, expected.data()).ok());
+        ASSERT_TRUE(sharded.BatchQuery(specs, actual.data()).ok());
+        for (auto& out : expected) std::sort(out.begin(), out.end());
+        for (size_t i = 0; i < batch; ++i) {
+          EXPECT_EQ(actual[i], expected[i]) << "query " << i;
+        }
+        if (batch < 7) continue;
+        for (size_t i = 0; i < batch; ++i) {
+          std::vector<uint64_t> alone;
+          ASSERT_TRUE(sharded.BatchQuery(specs.subspan(i, 1), &alone).ok());
+          EXPECT_EQ(actual[i], alone) << "query " << i << " alone";
+        }
       }
     };
 
@@ -300,6 +349,60 @@ TEST_F(ShardedEnsembleTest, AddCorpusFeedsShards) {
     ASSERT_TRUE(index.BatchQuery(spec, &out).ok());
     EXPECT_TRUE(std::binary_search(out.begin(), out.end(),
                                    corpus_->domain(i).id));
+  }
+}
+
+// Partial results count whole shards: when one query chunk of a
+// multi-chunk shard runs past its deadline, that shard's other chunks are
+// dropped too, and every query reports the same per-shard split. Shard 1
+// is held write-locked until query 0's deadline (in chunk 0) has passed,
+// so exactly that chunk expires; shard 0 answers the whole batch first.
+TEST_F(ShardedEnsembleTest, PartialResultsSkipShardWhenOneChunkExpires) {
+  ShardedEnsembleOptions options = ShardOptions(2);
+  options.partial_results = true;
+  auto index = ShardedEnsemble::Create(options, family_).value();
+  for (size_t i = 0; i < corpus_->size(); ++i) {
+    ASSERT_TRUE(InsertDomain(index, i).ok());
+  }
+  ASSERT_TRUE(index.Flush().ok());
+
+  std::vector<QuerySpec> specs = SampleSpecs(7);
+  const size_t chunks = ShardedEnsemble::ChunksPerShard(
+      specs.size(), 2, ThreadPool::Shared().num_threads() + 1);
+  ASSERT_GE(chunks, 2u);
+  std::vector<std::vector<uint64_t>> full(specs.size());
+  ASSERT_TRUE(index.BatchQuery(specs, full.data()).ok());
+  // The test means something only if shard 1 contributes to a query
+  // outside chunk 0.
+  bool shard1_beyond_chunk0 = false;
+  for (size_t i = specs.size() / chunks; i < specs.size(); ++i) {
+    for (uint64_t id : full[i]) shard1_beyond_chunk0 |= index.ShardOf(id) == 1;
+  }
+  ASSERT_TRUE(shard1_beyond_chunk0);
+
+  specs[0].deadline_ns = DeadlineAfterMicros(300 * 1000);
+  std::vector<std::vector<uint64_t>> outs(specs.size());
+  std::vector<QueryStats> stats(specs.size());
+  Status status;
+  {
+    std::unique_lock hold(ShardedEnsembleTestPeer::ShardMutex(index, 1));
+    std::thread caller(
+        [&] { status = index.BatchQuery(specs, outs.data(), stats.data()); });
+    while (!DeadlineExpired(specs[0].deadline_ns)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    hold.unlock();
+    caller.join();
+  }
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  for (size_t i = 0; i < specs.size(); ++i) {
+    std::vector<uint64_t> shard0;
+    for (uint64_t id : full[i]) {
+      if (index.ShardOf(id) == 0) shard0.push_back(id);
+    }
+    EXPECT_EQ(outs[i], shard0) << "query " << i;
+    EXPECT_EQ(stats[i].shards_gathered, 1u) << "query " << i;
+    EXPECT_EQ(stats[i].shards_skipped, 1u) << "query " << i;
   }
 }
 

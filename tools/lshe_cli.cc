@@ -21,13 +21,14 @@
 // k best containers (top-k mode). `batch-query` treats every column of the
 // query CSV as one query and answers them all in one batched call:
 // threshold mode rides BatchQuery(), `--topk K` ranks every query in one
-// lockstep BatchSearch(), `--delta FILE` first layers FILE's columns as
-// unindexed delta domains on a DynamicLshEnsemble rebuilt from the
-// catalog (the paper's dynamic-data scenario, Section 6.2) so both modes
-// search indexed + just-arrived data, and `--shards N` serves everything
-// from an N-shard scatter/gather ShardedEnsemble instead (results are
-// identical; throughput scales with cores). `stats` prints the partition
-// layout.
+// lockstep BatchSearch(). The plain image answers on the calling thread;
+// `--shards N` serves everything from an N-shard scatter/gather
+// ShardedEnsemble rebuilt from the catalog instead, the parallel path
+// (results are identical; throughput scales with cores). `--delta FILE`
+// first layers FILE's columns as unindexed delta domains on that serving
+// layer (one shard without `--shards`; the paper's dynamic-data
+// scenario, Section 6.2), so both modes search indexed + just-arrived
+// data. `stats` prints the partition layout.
 //
 // `snapshot` converts an index image to the format-v2 zero-copy snapshot
 // (io/snapshot.h) — with `--shards N` it rebuilds the catalog into an
@@ -75,7 +76,6 @@
 #include <vector>
 
 #include "cluster/clusterer.h"
-#include "core/dynamic_ensemble.h"
 #include "core/lsh_ensemble.h"
 #include "core/sharded_ensemble.h"
 #include "core/topk.h"
@@ -158,6 +158,12 @@ void Usage() {
              [--reactors N] [--dispatchers N] [--batch-max N]
              [--linger-us N] [--max-pending N] [--max-in-flight N]
              [--deadline-us N] [--partial] [--no-verify] [--no-madvise]
+
+batch-query answers on the calling thread from the index image; --shards N
+rebuilds the catalog into an N-shard serving layer that answers in
+parallel on the thread pool (the parallel path; same results). --delta
+FILE adds FILE's columns as unindexed domains, on one shard without
+--shards.
 
 serving-open tuning (with --mmap): --no-verify skips the eager segment
 CRC sweep (structure and manifest stay verified); --no-madvise disables
@@ -483,44 +489,32 @@ int RunBatchQuery(const Flags& flags) {
   std::vector<MinHash> sketches = sketcher.SketchCorpus(query_corpus);
   const std::vector<Domain>& query_domains = query_corpus.domains();
 
-  // Optional serving-layer overrides. --shards N rebuilds the catalog
-  // into a sharded serving layer (hash-partitioned scatter/gather across
-  // N independent dynamic shards); --delta FILE layers the file's columns
-  // as unindexed delta domains on top of whichever engine serves — the
-  // paper's dynamic-data scenario (Section 6.2). Both start from the
-  // catalog's side-car (names, sizes, signatures).
-  std::optional<DynamicLshEnsemble> dynamic;
+  // Optional serving layer. --shards N rebuilds the catalog into a
+  // sharded serving layer (hash-partitioned scatter/gather across N
+  // independent dynamic shards, answered in parallel on the thread pool);
+  // --delta FILE layers the file's columns on top as unindexed delta
+  // domains — the paper's dynamic-data scenario (Section 6.2) — on N
+  // shards, or on one without --shards. Both start from the catalog's
+  // side-car (names, sizes, signatures). Without either, the image itself
+  // answers on this thread.
   std::optional<ShardedEnsemble> sharded;
   std::unordered_map<uint64_t, std::string> delta_names;
   if (flags.shards > 0 || !flags.delta_csv.empty()) {
-    if (flags.shards > 0) {
-      ShardedEnsembleOptions sharded_options;
-      sharded_options.base.base = ensemble->options();
-      sharded_options.base.min_delta_for_rebuild =
-          std::numeric_limits<size_t>::max();
-      sharded_options.num_shards = static_cast<size_t>(flags.shards);
-      auto built = ShardedEnsemble::Create(sharded_options, catalog->family());
-      if (!built.ok()) return Fail(built.status());
-      sharded.emplace(std::move(built).value());
-    } else {
-      DynamicEnsembleOptions dyn_options;
-      dyn_options.base = ensemble->options();
-      dyn_options.min_delta_for_rebuild = std::numeric_limits<size_t>::max();
-      auto dyn = DynamicLshEnsemble::Create(dyn_options, catalog->family());
-      if (!dyn.ok()) return Fail(dyn.status());
-      dynamic.emplace(std::move(dyn).value());
-    }
-    auto insert = [&](uint64_t id, size_t size, const MinHash& signature) {
-      return sharded.has_value() ? sharded->Insert(id, size, signature)
-                                 : dynamic->Insert(id, size, signature);
-    };
+    ShardedEnsembleOptions sharded_options;
+    sharded_options.base.base = ensemble->options();
+    sharded_options.base.min_delta_for_rebuild =
+        std::numeric_limits<size_t>::max();
+    sharded_options.num_shards = static_cast<size_t>(std::max(flags.shards, 1));
+    auto built = ShardedEnsemble::Create(sharded_options, catalog->family());
+    if (!built.ok()) return Fail(built.status());
+    sharded.emplace(std::move(built).value());
     uint64_t max_id = 0;
     for (const CatalogEntry& entry : catalog->entries()) {
-      Status status = insert(entry.id, entry.size, entry.signature);
+      Status status = sharded->Insert(entry.id, entry.size, entry.signature);
       if (!status.ok()) return Fail(status);
       max_id = std::max(max_id, entry.id);
     }
-    Status status = sharded.has_value() ? sharded->Flush() : dynamic->Flush();
+    Status status = sharded->Flush();
     if (!status.ok()) return Fail(status);
     if (!flags.delta_csv.empty()) {
       auto delta_table = ReadCsvFile(flags.delta_csv);
@@ -532,22 +526,15 @@ int RunBatchQuery(const Flags& flags) {
             "no delta columns extracted from " + flags.delta_csv));
       }
       for (const Domain& domain : delta_domains) {
-        status = sharded.has_value()
-                     ? sharded->Insert(domain.id, domain.values)
-                     : dynamic->Insert(domain.id, domain.values);
+        status = sharded->Insert(domain.id, domain.values);
         if (!status.ok()) return Fail(status);
         delta_names.emplace(domain.id, domain.name);
       }
     }
-    if (sharded.has_value()) {
-      std::printf("sharded index: %d shards, %zu indexed + %zu delta "
-                  "domains\n",
-                  flags.shards, sharded->indexed_size(),
-                  sharded->delta_size());
-    } else {
-      std::printf("dynamic index: %zu indexed + %zu delta domains\n",
-                  dynamic->indexed_size(), dynamic->delta_size());
-    }
+    std::printf("sharded index: %zu shards, %zu indexed + %zu delta "
+                "domains\n",
+                sharded->num_shards(), sharded->indexed_size(),
+                sharded->delta_size());
   }
   auto name_of = [&](uint64_t id) -> const std::string& {
     const auto it = delta_names.find(id);
@@ -560,8 +547,6 @@ int RunBatchQuery(const Flags& flags) {
     std::optional<TopKSearcher> searcher;
     if (sharded.has_value()) {
       searcher.emplace(&*sharded);
-    } else if (dynamic.has_value()) {
-      searcher.emplace(&*dynamic);
     } else {
       auto built = catalog->ToSketchStore();
       if (!built.ok()) return Fail(built.status());
@@ -607,10 +592,9 @@ int RunBatchQuery(const Flags& flags) {
 
   QueryContext ctx;
   StopWatch watch;
-  Status status =
-      sharded.has_value() ? sharded->BatchQuery(specs, outs.data())
-      : dynamic.has_value() ? dynamic->BatchQuery(specs, &ctx, outs.data())
-                            : ensemble->BatchQuery(specs, &ctx, outs.data());
+  Status status = sharded.has_value()
+                      ? sharded->BatchQuery(specs, outs.data())
+                      : ensemble->BatchQuery(specs, &ctx, outs.data());
   if (!status.ok()) return Fail(status);
   const double elapsed = watch.ElapsedSeconds();
 
