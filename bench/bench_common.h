@@ -9,6 +9,8 @@
 #ifndef LSHENSEMBLE_BENCH_BENCH_COMMON_H_
 #define LSHENSEMBLE_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -135,6 +137,21 @@ class JsonResultWriter {
 };
 
 inline constexpr uint64_t kBenchSeed = 20160905;  // VLDB'16 week
+
+/// Acceptance floors (a ratio of two modes' speeds) are computed from the
+/// medians of kFloorReps reps per mode, each rep at least
+/// kFloorRepSeconds long, so that one host stall cannot decide them.
+inline constexpr int kFloorReps = 5;
+inline constexpr double kFloorRepSeconds = 0.2;
+
+/// Median of `samples` (the upper one of an even count); 0 when empty.
+inline double Median(std::vector<double> samples) {
+  if (samples.empty()) return 0.0;
+  std::nth_element(samples.begin(),
+                   samples.begin() + static_cast<ptrdiff_t>(samples.size() / 2),
+                   samples.end());
+  return samples[samples.size() / 2];
+}
 
 /// The Canadian Open Data stand-in: 65,533 domains, power-law sizes,
 /// min size 10 (Section 6.1). `num_domains` can scale it down/up.

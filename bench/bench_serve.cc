@@ -10,7 +10,8 @@
 //   batched      batch_max>=C, linger=200us — concurrent requests
 //                coalesce into one wave
 //
-// The qps ratio is the user-visible value of cross-request batching;
+// The qps ratio (from the medians of interleaved reps of at least 200 ms
+// per mode) is the user-visible value of cross-request batching;
 // the run FAILS if batching does not buy at least 1.5x at >= 32
 // connections (the ISSUE 8 acceptance floor), or if the batcher never
 // actually coalesced (mean batch fill <= 1 under concurrent load).
@@ -240,9 +241,11 @@ int Main(int argc, char** argv) {
   // --- throughput: per-request dispatch vs micro-batched --------------
   struct ModeResult {
     const char* mode;
+    std::unique_ptr<serve::Server> server;
     double qps = 0.0;
     double mean_fill = 0.0;
     uint64_t sheds = 0;
+    std::vector<double> floor_qps;
   };
   std::vector<ModeResult> results;
   for (const bool batched : {false, true}) {
@@ -260,37 +263,29 @@ int Main(int argc, char** argv) {
                    server.status().ToString().c_str());
       return 1;
     }
-    // Warm-up wave, then the measured run.
-    RunLoad("127.0.0.1", server.value()->port(), sketches, sizes, t_star,
-            connections, std::max<size_t>(requests / 8, window), window);
-    const serve::ServerMetrics& metrics = server.value()->metrics();
-    const uint64_t fill_count0 = metrics.batch_fill.count();
-    const uint64_t fill_sum0 = metrics.batch_fill.sum();
-    // Best-of-3: single-box scheduling noise swamps a single run, and
-    // the ratio below feeds a hard acceptance floor.
-    LoadResult load;
-    double best_qps = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      const LoadResult attempt =
-          RunLoad("127.0.0.1", server.value()->port(), sketches, sizes,
-                  t_star, connections, requests, window);
-      const double qps =
-          static_cast<double>(attempt.completed) / attempt.seconds;
-      if (qps > best_qps) {
-        best_qps = qps;
-        load = attempt;
-      }
-    }
     ModeResult r;
     r.mode = batched ? "serve-batched" : "serve-per-request";
-    r.qps = best_qps;
+    r.server = std::move(server).value();
+    // Warm-up wave, then the measured run.
+    RunLoad("127.0.0.1", r.server->port(), sketches, sizes, t_star,
+            connections, std::max<size_t>(requests / 8, window), window);
+    const serve::ServerMetrics& metrics = r.server->metrics();
+    const uint64_t fill_count0 = metrics.batch_fill.count();
+    const uint64_t fill_sum0 = metrics.batch_fill.sum();
+    // Best-of-3: single-box scheduling noise swamps a single run.
+    for (int rep = 0; rep < 3; ++rep) {
+      const LoadResult attempt =
+          RunLoad("127.0.0.1", r.server->port(), sketches, sizes, t_star,
+                  connections, requests, window);
+      r.qps = std::max(
+          r.qps, static_cast<double>(attempt.completed) / attempt.seconds);
+    }
     const uint64_t waves = metrics.batch_fill.count() - fill_count0;
     r.mean_fill =
         waves > 0 ? static_cast<double>(metrics.batch_fill.sum() - fill_sum0) /
                         static_cast<double>(waves)
                   : 0.0;
     r.sheds = metrics.sheds.load();
-    results.push_back(r);
     std::printf("%-18s %9.0f qps  mean batch fill %5.1f  (%zu conns x %zu)\n",
                 r.mode, r.qps, r.mean_fill, connections, requests);
     json.BeginRow();
@@ -301,12 +296,33 @@ int Main(int argc, char** argv) {
     json.Add("shards", num_shards);
     json.Add("qps", r.qps);
     json.Add("mean_batch_fill", r.mean_fill);
-    server.value()->Stop();
+    results.push_back(std::move(r));
   }
+  // The floor's ratio: medians of interleaved reps of at least
+  // kFloorRepSeconds of load each, so one host stall cannot decide it.
+  for (int rep = 0; rep < bench::kFloorReps; ++rep) {
+    for (ModeResult& r : results) {
+      uint64_t completed = 0;
+      double seconds = 0.0;
+      while (seconds < bench::kFloorRepSeconds) {
+        const LoadResult load =
+            RunLoad("127.0.0.1", r.server->port(), sketches, sizes, t_star,
+                    connections, requests, window);
+        completed += load.completed;
+        seconds += load.seconds;
+      }
+      r.floor_qps.push_back(static_cast<double>(completed) / seconds);
+    }
+  }
+  for (ModeResult& r : results) r.server->Stop();
   if (!json.Write()) return 1;
 
-  const double speedup = results[1].qps / results[0].qps;
-  std::printf("batched / per-request speedup: %.2fx\n", speedup);
+  const double batched_qps = bench::Median(results[1].floor_qps);
+  const double per_request_qps = bench::Median(results[0].floor_qps);
+  const double speedup = batched_qps / per_request_qps;
+  std::printf("batched / per-request speedup: %.2fx (medians of %d reps: "
+              "%.0f vs %.0f qps)\n",
+              speedup, bench::kFloorReps, batched_qps, per_request_qps);
   // Machine checks (ISSUE 8 acceptance): coalesced dispatch must beat
   // per-request dispatch by >= 1.5x at >= 32 connections, and the
   // batcher must have actually coalesced under that load.

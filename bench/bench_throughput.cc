@@ -3,12 +3,13 @@
 // then the same comparison on a dynamic index carrying a 10% unindexed
 // delta, on lockstep top-k descents, and on the sharded serving layer at
 // S = 1/2/4 shards (shard-batch / shard-topk rows, each shard an
-// independent dynamic engine with the same 10% delta). The single-query
-// rows and batch/1 run the single-thread building blocks (LshEnsemble,
-// DynamicLshEnsemble, TopKSearcher over a SketchStore); the batch/64,
-// batch/4096, dyn-batch and topk-batch rows run an S = 1 ShardedEnsemble
-// over the same corpus, since its (shard x query-chunk) wave is the only
-// query code that uses the thread pool. Reports queries/sec and heap
+// independent dynamic engine with the same 10% delta). The threshold
+// single-query rows and batch/1 run the single-thread building blocks
+// (LshEnsemble, DynamicLshEnsemble); the batch/64, batch/4096, dyn-batch,
+// topk-single (batches of one) and topk-batch rows run an S = 1
+// ShardedEnsemble over the same corpus, since its (shard x query-chunk)
+// wave is the only query code that uses the thread pool and the only
+// top-k implementation. Reports queries/sec and heap
 // allocations per query (global operator new is instrumented below). The
 // dynamic batch path is REQUIRED to be allocation-free on a warm engine
 // (the run fails otherwise) — that is the machine check behind the
@@ -21,6 +22,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "bench_common.h"
@@ -62,6 +64,43 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace lshensemble {
 namespace {
+
+/// Best of 3 warm reps: the fastest time and the fewest allocations.
+/// Every rep pins the same scratch, so a warm rep allocates only a wave's
+/// fixed dispatch cost; a genuine per-query allocation shows up in every
+/// rep, so the minimum is the honest steady-state figure.
+struct BestOf3 {
+  double seconds = 0.0;
+  uint64_t allocations = 0;
+};
+
+template <typename Fn>
+BestOf3 TimeBestOf3(Fn&& run) {
+  BestOf3 best;
+  for (int rep = 0; rep < 3; ++rep) {
+    StopWatch watch;
+    const uint64_t allocs_before = g_allocations.load();
+    run();
+    const double seconds = watch.ElapsedSeconds();
+    const uint64_t allocs = g_allocations.load() - allocs_before;
+    if (rep == 0 || seconds < best.seconds) best.seconds = seconds;
+    if (rep == 0 || allocs < best.allocations) best.allocations = allocs;
+  }
+  return best;
+}
+
+/// One rep of a floor's ratio: the seconds one call of `run` takes,
+/// averaged over as many calls as fill bench::kFloorRepSeconds.
+template <typename Fn>
+double PassSeconds(Fn&& run) {
+  StopWatch watch;
+  size_t passes = 0;
+  do {
+    run();
+    ++passes;
+  } while (watch.ElapsedSeconds() < bench::kFloorRepSeconds);
+  return watch.ElapsedSeconds() / static_cast<double>(passes);
+}
 
 struct Row {
   const char* mode;
@@ -386,24 +425,9 @@ int Main(int argc, char** argv) {
     }
   };
   run_dyn_batched();  // warm the scratch and the output capacities
-  // Best of 3 keeps a scheduler stall out of the row. Every rep pins the
-  // same per-chunk scratch, so a warm rep allocates only the wave's fixed
-  // dispatch cost; a genuine per-query allocation shows up in every rep,
-  // so the minimum is the honest steady-state figure.
-  double dyn_batch_seconds = 0.0;
-  uint64_t dyn_batch_allocs = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    watch.Restart();
-    allocs_before = g_allocations.load();
-    run_dyn_batched();
-    const double seconds = watch.ElapsedSeconds();
-    const uint64_t allocs = g_allocations.load() - allocs_before;
-    if (rep == 0 || seconds < dyn_batch_seconds) {
-      dyn_batch_seconds = seconds;
-    }
-    if (rep == 0 || allocs < dyn_batch_allocs) dyn_batch_allocs = allocs;
-  }
-  rows.push_back({"dyn-batch", kDynBatch, num_queries, dyn_batch_seconds,
+  const BestOf3 dyn_batch = TimeBestOf3(run_dyn_batched);
+  const uint64_t dyn_batch_allocs = dyn_batch.allocations;
+  rows.push_back({"dyn-batch", kDynBatch, num_queries, dyn_batch.seconds,
                   dyn_batch_allocs});
   for (size_t i = 0; i < num_queries; ++i) {
     if (outs[i] != dyn_single_sorted[i]) {
@@ -417,16 +441,7 @@ int Main(int argc, char** argv) {
   const double dyn_batch_qps =
       static_cast<double>(num_queries) / rows.back().seconds;
 
-  // --- top-k: sequential descents vs one lockstep BatchSearch ---------
-  SketchStore store;
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    if (!store.Add(i + 1, corpus.domain(i).size(), sketches[i]).ok()) {
-      std::fprintf(stderr, "store.Add failed\n");
-      return 1;
-    }
-  }
-  const LshEnsemble& static_ensemble = ensemble;
-  TopKSearcher searcher(&static_ensemble, &store);
+  // --- top-k: batches of one vs one lockstep BatchSearch --------------
   const size_t num_topk = std::min<size_t>(num_queries, 512);
   std::vector<TopKQuery> topk_queries(num_topk);
   for (size_t i = 0; i < num_topk; ++i) {
@@ -436,21 +451,20 @@ int Main(int argc, char** argv) {
 
   auto run_topk_single = [&]() {
     for (size_t i = 0; i < num_topk; ++i) {
-      auto result = searcher.Search(*topk_queries[i].query,
-                                    topk_queries[i].query_size, topk_k);
-      if (!result.ok()) {
-        std::fprintf(stderr, "topk Search failed\n");
+      const Status status = indexed_sharded.BatchSearch(
+          std::span<const TopKQuery>(&topk_queries[i], 1), topk_k,
+          &topk_outs[i]);
+      if (!status.ok()) {
+        std::fprintf(stderr, "topk BatchSearch of one failed: %s\n",
+                     status.ToString().c_str());
         std::exit(1);
       }
-      topk_outs[i] = std::move(result).value();
     }
   };
   run_topk_single();
-  watch.Restart();
-  allocs_before = g_allocations.load();
-  run_topk_single();
-  rows.push_back({"topk-single", 1, num_topk, watch.ElapsedSeconds(),
-                  g_allocations.load() - allocs_before});
+  const BestOf3 topk_single = TimeBestOf3(run_topk_single);
+  rows.push_back({"topk-single", 1, num_topk, topk_single.seconds,
+                  topk_single.allocations});
 
   const std::vector<std::vector<TopKResult>> topk_single_outs = topk_outs;
 
@@ -464,11 +478,9 @@ int Main(int argc, char** argv) {
     }
   };
   run_topk_batched();
-  watch.Restart();
-  allocs_before = g_allocations.load();
-  run_topk_batched();
-  rows.push_back({"topk-batch", num_topk, num_topk, watch.ElapsedSeconds(),
-                  g_allocations.load() - allocs_before});
+  const BestOf3 topk_batch = TimeBestOf3(run_topk_batched);
+  rows.push_back({"topk-batch", num_topk, num_topk, topk_batch.seconds,
+                  topk_batch.allocations});
   if (topk_outs != topk_single_outs) {
     std::fprintf(stderr, "FAIL: topk-batch ranking diverges from "
                          "topk-single\n");
@@ -480,9 +492,13 @@ int Main(int argc, char** argv) {
   // shard is an independent dynamic engine (10% delta, like dyn-batch),
   // so shard-batch vs dyn-batch is the cost/benefit of the sharded wave
   // and shard-batch across S shows the scaling on multi-core runners.
+  // shard-topk ranks over the fully indexed corpus, like the topk rows,
+  // so its answers must equal topk-single's at every S.
   for (const size_t num_shards : {size_t{1}, size_t{2}, size_t{4}}) {
     const ShardedEnsemble sharded =
         make_sharded(options, num_shards, indexed_count);
+    const ShardedEnsemble ranked =
+        make_sharded(options, num_shards, corpus.size());
 
     auto run_shard_batched = [&]() {
       for (size_t begin = 0; begin < num_queries; begin += kDynBatch) {
@@ -498,19 +514,10 @@ int Main(int argc, char** argv) {
       }
     };
     run_shard_batched();  // warm shard scratch pools and output capacities
-    double shard_seconds = 0.0;
-    uint64_t shard_allocs = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      watch.Restart();
-      allocs_before = g_allocations.load();
-      run_shard_batched();
-      const double seconds = watch.ElapsedSeconds();
-      const uint64_t allocs = g_allocations.load() - allocs_before;
-      if (rep == 0 || seconds < shard_seconds) shard_seconds = seconds;
-      if (rep == 0 || allocs < shard_allocs) shard_allocs = allocs;
-    }
-    rows.push_back({"shard-batch", kDynBatch, num_queries, shard_seconds,
-                    shard_allocs, num_shards});
+    const BestOf3 shard_batch = TimeBestOf3(run_shard_batched);
+    rows.push_back({"shard-batch", kDynBatch, num_queries,
+                    shard_batch.seconds, shard_batch.allocations,
+                    num_shards});
     for (size_t i = 0; i < num_queries; ++i) {
       if (outs[i] != dyn_single_sorted[i]) {
         std::fprintf(stderr,
@@ -523,7 +530,7 @@ int Main(int argc, char** argv) {
 
     auto run_shard_topk = [&]() {
       const Status status =
-          sharded.BatchSearch(topk_queries, topk_k, topk_outs.data());
+          ranked.BatchSearch(topk_queries, topk_k, topk_outs.data());
       if (!status.ok()) {
         std::fprintf(stderr, "sharded BatchSearch failed: %s\n",
                      status.ToString().c_str());
@@ -531,11 +538,18 @@ int Main(int argc, char** argv) {
       }
     };
     run_shard_topk();
-    watch.Restart();
-    allocs_before = g_allocations.load();
-    run_shard_topk();
-    rows.push_back({"shard-topk", num_topk, num_topk, watch.ElapsedSeconds(),
-                    g_allocations.load() - allocs_before, num_shards});
+    const BestOf3 shard_topk = TimeBestOf3(run_shard_topk);
+    rows.push_back({"shard-topk", num_topk, num_topk, shard_topk.seconds,
+                    shard_topk.allocations, num_shards});
+    // Sharding is invisible in the ranking too: every S answers exactly
+    // what the one-shard batches of one answered.
+    if (topk_outs != topk_single_outs) {
+      std::fprintf(stderr,
+                   "FAIL: shard-topk (S=%zu) ranking diverges from "
+                   "topk-single\n",
+                   num_shards);
+      return 1;
+    }
   }
 
   // --- skewed cold traffic: probe-filter pruning at S = 4 / 8 ----------
@@ -594,44 +608,45 @@ int Main(int argc, char** argv) {
         const char* name;
         bool build_filter;
         std::vector<std::vector<uint64_t>>* outs;
-        double seconds = 0.0;
-        uint64_t allocs = 0;
+        std::optional<ShardedEnsemble> index;
+        std::vector<double> floor_samples;
       };
       SkewMode modes[2] = {
-          {"shard-skew-pruned", true, &pruned_outs},
-          {"shard-skew-scatter", false, &scatter_outs},
+          {"shard-skew-pruned", true, &pruned_outs, {}, {}},
+          {"shard-skew-scatter", false, &scatter_outs, {}, {}},
+      };
+      auto run_skew = [&](const SkewMode& mode) {
+        for (size_t begin = 0; begin < num_queries; begin += kDynBatch) {
+          const size_t len = std::min(kDynBatch, num_queries - begin);
+          const Status status = mode.index->BatchQuery(
+              std::span<const QuerySpec>(skew_specs.data() + begin, len),
+              mode.outs->data() + begin);
+          if (!status.ok()) {
+            std::fprintf(stderr, "skew BatchQuery failed: %s\n",
+                         status.ToString().c_str());
+            std::exit(1);
+          }
+        }
       };
       for (SkewMode& mode : modes) {
         LshEnsembleOptions skew_options = options;
         skew_options.build_probe_filter = mode.build_filter;
         // Fully indexed: no delta scan.
-        const ShardedEnsemble sharded =
-            make_sharded(skew_options, num_shards, corpus.size());
-        auto run_skew = [&]() {
-          for (size_t begin = 0; begin < num_queries; begin += kDynBatch) {
-            const size_t len = std::min(kDynBatch, num_queries - begin);
-            const Status status = sharded.BatchQuery(
-                std::span<const QuerySpec>(skew_specs.data() + begin, len),
-                mode.outs->data() + begin);
-            if (!status.ok()) {
-              std::fprintf(stderr, "skew BatchQuery failed: %s\n",
-                           status.ToString().c_str());
-              std::exit(1);
-            }
-          }
-        };
-        run_skew();  // warm shard scratch pools and output capacities
-        for (int rep = 0; rep < 3; ++rep) {
-          watch.Restart();
-          allocs_before = g_allocations.load();
-          run_skew();
-          const double seconds = watch.ElapsedSeconds();
-          const uint64_t allocs = g_allocations.load() - allocs_before;
-          if (rep == 0 || seconds < mode.seconds) mode.seconds = seconds;
-          if (rep == 0 || allocs < mode.allocs) mode.allocs = allocs;
+        mode.index.emplace(
+            make_sharded(skew_options, num_shards, corpus.size()));
+        run_skew(mode);  // warm shard scratch pools and output capacities
+        const BestOf3 best = TimeBestOf3([&] { run_skew(mode); });
+        rows.push_back({mode.name, kDynBatch, num_queries, best.seconds,
+                        best.allocations, num_shards});
+      }
+      // The floor's ratio: medians of interleaved reps of at least
+      // kFloorRepSeconds each, so one host stall cannot decide it (an
+      // S = 8 pass alone lasts about 2 ms at CI flags).
+      for (int rep = 0; rep < bench::kFloorReps; ++rep) {
+        for (SkewMode& mode : modes) {
+          mode.floor_samples.push_back(
+              PassSeconds([&] { run_skew(mode); }));
         }
-        rows.push_back({mode.name, kDynBatch, num_queries, mode.seconds,
-                        mode.allocs, num_shards});
       }
 
       // Machine check half 1 (ISSUE 6 acceptance): pruning is invisible
@@ -646,9 +661,11 @@ int Main(int argc, char** argv) {
           return 1;
         }
       }
-      const double speedup = modes[1].seconds / modes[0].seconds;
-      std::printf("skew S=%zu: pruned %.2fx over all-shard scatter\n",
-                  num_shards, speedup);
+      const double speedup = bench::Median(modes[1].floor_samples) /
+                             bench::Median(modes[0].floor_samples);
+      std::printf("skew S=%zu: pruned %.2fx over all-shard scatter (median "
+                  "of %d reps)\n",
+                  num_shards, speedup, bench::kFloorReps);
       if (skew_min_speedup == 0.0 || speedup < skew_min_speedup) {
         skew_min_speedup = speedup;
       }
@@ -685,8 +702,8 @@ int Main(int argc, char** argv) {
   // per-query allocation blows it by orders of magnitude.
   // Machine check half 2 (ISSUE 6 acceptance): on skewed foreign traffic
   // the filter tier must buy at least 1.3x over the all-shard scatter at
-  // every measured shard count (best-of-3 on both sides keeps scheduler
-  // noise out of the ratio).
+  // every measured shard count (medians of interleaved reps of at least
+  // 200 ms on both sides keep scheduler noise out of the ratio).
   if (skew_min_speedup < 1.3) {
     std::fprintf(stderr,
                  "FAIL: skewed-traffic pruning speedup %.2fx below the 1.3x "

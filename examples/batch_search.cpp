@@ -8,8 +8,9 @@
 //   * static     — LshEnsemble::BatchQuery
 //   * dynamic    — DynamicLshEnsemble::BatchQuery (indexed + delta domains,
 //                  the delta scanned once per batch)
-//   * top-k      — TopKSearcher::BatchSearch (lockstep threshold descents,
-//                  one BatchQuery per round)
+//   * top-k      — ShardedEnsemble::BatchSearch on one shard (lockstep
+//                  threshold descents, one scatter wave per round whose
+//                  tasks score the candidates they find)
 //
 // Build & run:
 //   cmake --build build --target example_batch_search
@@ -20,6 +21,7 @@
 
 #include "core/dynamic_ensemble.h"
 #include "core/lsh_ensemble.h"
+#include "core/sharded_ensemble.h"
 #include "core/topk.h"
 #include "minhash/minhash.h"
 #include "util/timer.h"
@@ -123,19 +125,28 @@ int main() {
       dynamic.indexed_size(), dynamic.delta_size(),
       watch.ElapsedSeconds() * 1e3, specs.size() / watch.ElapsedSeconds());
 
-  // --- batched top-k over the dynamic index ----------------------------
-  // The dynamic index's records side-car doubles as the top-k sketch
-  // store, so the searcher binds to it directly; one BatchSearch call
-  // advances every query's threshold descent in lockstep.
-  TopKSearcher searcher(&dynamic);
+  // --- batched top-k over the same indexed + delta corpus -------------
+  // Top-k runs on the serving layer, here with one shard: one BatchSearch
+  // call advances every query's threshold descent in lockstep, and each
+  // round's shard tasks score the candidates they find.
+  ShardedEnsembleOptions sharded_options;
+  sharded_options.base = dyn_options;
+  auto sharded = ShardedEnsemble::Create(sharded_options, family).value();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const Domain& domain = corpus.domain(i);
+    if (!sharded.Insert(domain.id, domain.size(), sketches[i]).ok() ||
+        (i + 1 == indexed_count && !sharded.Flush().ok())) {
+      std::fprintf(stderr, "sharded build failed\n");
+      return 1;
+    }
+  }
   std::vector<TopKQuery> topk_queries;
   for (size_t i = 0; i < corpus.size(); i += 500) {
     topk_queries.push_back(TopKQuery{&sketches[i], corpus.domain(i).size()});
   }
   std::vector<std::vector<TopKResult>> rankings(topk_queries.size());
   watch.Restart();
-  if (!searcher.BatchSearch(topk_queries, /*k=*/5, &ctx, rankings.data())
-           .ok()) {
+  if (!sharded.BatchSearch(topk_queries, /*k=*/5, rankings.data()).ok()) {
     std::fprintf(stderr, "BatchSearch failed\n");
     return 1;
   }

@@ -3,17 +3,19 @@
 // The paper frames domain search by containment threshold (Definition 2)
 // and notes the top-k formulation is complementary (Section 2). This
 // example ranks the k best join candidates for a query column without the
-// caller having to guess a threshold: TopKSearcher descends thresholds
-// internally and ranks candidates by sketch-estimated containment.
+// caller having to guess a threshold: ShardedEnsemble::BatchSearch
+// descends thresholds internally and ranks candidates by sketch-estimated
+// containment, scoring them inside the shard tasks that find them.
 //
 // Build & run:  cmake --build build && ./build/examples/topk_search
 
 #include <cstdio>
 #include <iostream>
+#include <span>
 #include <vector>
 
 #include "baselines/exact_search.h"
-#include "core/lsh_ensemble.h"
+#include "core/sharded_ensemble.h"
 #include "core/topk.h"
 #include "eval/report.h"
 #include "minhash/minhash.h"
@@ -30,34 +32,37 @@ int main() {
   gen.seed = 7;
   auto corpus = CorpusGenerator(gen).Generate().value();
 
-  // 2. Build the ensemble and keep the sketches in a SketchStore: top-k
-  //    ranking needs them to estimate containment per candidate.
+  // 2. Build a one-shard serving layer. It keeps every domain's size and
+  //    sketch beside the index: top-k ranking needs them to estimate
+  //    containment per candidate.
   auto family = HashFamily::Create(256, 11).value();
-  LshEnsembleOptions options;
-  options.num_partitions = 16;
-  LshEnsembleBuilder builder(options, family);
-  SketchStore store;
+  ShardedEnsembleOptions options;
+  options.base.base.num_partitions = 16;
+  options.base.min_delta_for_rebuild = corpus.size() + 1;  // one Flush()
+  auto index = ShardedEnsemble::Create(options, family).value();
   ExactSearch exact;  // only to show the true scores next to the estimates
   for (size_t i = 0; i < corpus.size(); ++i) {
     const Domain& domain = corpus.domain(i);
-    MinHash sketch = MinHash::FromValues(family, domain.values);
-    builder.Add(domain.id, domain.size(), sketch).ok();
-    store.Add(domain.id, domain.size(), std::move(sketch)).ok();
+    index.Insert(domain.id, domain.size(),
+                 MinHash::FromValues(family, domain.values)).ok();
     exact.Add(domain.id, domain.values).ok();
   }
-  auto ensemble = std::move(builder).Build().value();
+  index.Flush().ok();
   exact.Build();
 
   // 3. Rank the 10 best containers of a mid-sized query domain.
   const Domain& query = corpus.domain(4242);
   const MinHash query_sketch = MinHash::FromValues(family, query.values);
-  TopKSearcher searcher(&ensemble, &store);
+  const TopKQuery topk_query{&query_sketch, query.size()};
 
   StopWatch watch;
-  auto results = searcher.Search(query_sketch, query.size(), 10);
+  std::vector<TopKResult> results;
+  const Status status =
+      index.BatchSearch(std::span<const TopKQuery>(&topk_query, 1), 10,
+                        &results);
   const double elapsed_ms = watch.ElapsedMillis();
-  if (!results.ok()) {
-    std::cerr << "search failed: " << results.status() << "\n";
+  if (!status.ok()) {
+    std::cerr << "search failed: " << status << "\n";
     return 1;
   }
 
@@ -67,7 +72,7 @@ int main() {
   exact.Overlaps(query.values, &overlaps).ok();
   TablePrinter printer({"rank", "domain", "estimated t", "exact t", "|X|"});
   int rank = 1;
-  for (const TopKResult& result : *results) {
+  for (const TopKResult& result : results) {
     double exact_t = 0.0;
     for (const auto& [id, score] : overlaps) {
       if (id == result.id) exact_t = score;
@@ -76,17 +81,19 @@ int main() {
                     std::to_string(result.id),
                     FormatDouble(result.estimated_containment, 3),
                     FormatDouble(exact_t, 3),
-                    std::to_string(store.SizeOf(result.id))});
+                    std::to_string(index.SizeOf(result.id))});
   }
   printer.Print(std::cout);
 
   // 4. Contrast with threshold search: picking t* = 0.5 either floods or
   //    starves depending on the query; top-k self-tunes.
+  const QuerySpec at_half_spec{&query_sketch, query.size(), 0.5};
   std::vector<uint64_t> at_half;
-  ensemble.Query(query_sketch, query.size(), 0.5, &at_half).ok();
+  index.BatchQuery(std::span<const QuerySpec>(&at_half_spec, 1), &at_half)
+      .ok();
   std::printf(
       "\nthreshold t* = 0.5 would have returned %zu candidates; top-k "
       "returned exactly %zu, ranked.\n",
-      at_half.size(), results->size());
+      at_half.size(), results.size());
   return 0;
 }

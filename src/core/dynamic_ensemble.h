@@ -16,8 +16,8 @@
 //                min_delta_for_rebuild domains and at least 10% of the
 //                indexed domain count (RebuildDue).
 //
-// The structure retains every live domain's size and signature (the same
-// side-car a TopKSearcher needs) — that is what makes rebuilds possible
+// The structure retains every live domain's size and signature (the
+// side-car top-k ranking reads) — that is what makes rebuilds possible
 // without re-reading the raw data.
 //
 // Zero-copy open (io/snapshot.h): an index opened from a mapped v2

@@ -403,16 +403,16 @@ Status ShardedEnsemble::BatchQuery(std::span<const QuerySpec> specs,
                                    QueryStats* stats) const {
   AdmissionSlot slot;
   LSHE_ASSIGN_OR_RETURN(slot, TryAdmit());
-  return BatchQueryImpl(specs, outs, /*sort_outputs=*/true, stats);
+  return BatchQueryImpl(specs, outs, /*scored=*/nullptr, stats);
 }
 
 Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
-                                       std::vector<uint64_t>* outs,
-                                       bool sort_outputs,
+                                       std::vector<uint64_t>* ids,
+                                       std::vector<TopKResult>* scored,
                                        QueryStats* stats) const {
   LSHE_RETURN_IF_ERROR(GuardNotInWorker("ShardedEnsemble::BatchQuery"));
   if (specs.empty()) return Status::OK();
-  if (outs == nullptr) {
+  if (ids == nullptr && scored == nullptr) {
     return Status::InvalidArgument("outs must not be null");
   }
   const size_t count = specs.size();
@@ -474,12 +474,21 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
     statuses[task] = shard.engine.BatchQuery(
         std::span<const QuerySpec>(resolved).subspan(begin, len), &mine.ctx,
         mine.outs.data(), mine.stats.data());
-    // Sorting here keeps it off the serial gather: at S = 1 a chunk's
-    // sorted candidates are already the canonical output.
-    if (sort_outputs) {
+    if (!statuses[task].ok()) return;
+    // The task's last step keeps per-query work off the serial gather. A
+    // threshold answer sorts its ids (at S = 1 a chunk's sorted candidates
+    // are already the canonical output); a top-k round scores them here,
+    // under the read lock that still pins every row it reads.
+    if (scored == nullptr) {
       for (size_t j = 0; j < len; ++j) {
         std::sort(mine.outs[j].begin(), mine.outs[j].end());
       }
+      return;
+    }
+    if (mine.scored.size() < len) mine.scored.resize(len);
+    for (size_t j = 0; j < len; ++j) {
+      ScoreCandidates(shard.engine, resolved[begin + j], mine.outs[j], &mine,
+                      &mine.scored[j]);
     }
   });
 
@@ -508,33 +517,36 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
     first_error = Status::DeadlineExceeded("query deadline expired");
   }
   if (first_error.ok()) {
-    // Gather: per query, concatenate the shard candidate sets (disjoint —
-    // every id lives in exactly one shard) and canonicalize to ascending
-    // id so the output is independent of shard count and merge order; one
-    // shard's sorted set needs no merge. Query i of chunk c sits at
-    // i - chunk_begin(c) in that chunk's scratch on every shard.
+    // Gather: per query, concatenate the shard outputs (disjoint — every
+    // id lives in exactly one shard). Ids are canonicalized to ascending
+    // order so the output is independent of shard count and merge order;
+    // one shard's sorted set needs no merge. Scored pairs stay unordered:
+    // the descent ranks them. Query i of chunk c sits at i - chunk_begin(c)
+    // in that chunk's scratch on every shard.
+    auto concat = [&](auto& out, auto staging, size_t c, size_t local) {
+      out.clear();
+      size_t total = 0;
+      for (size_t s = 0; s < num_shards; ++s) {
+        if (!shard_gathered[s]) continue;
+        total += (scratch[s * chunks + c]->*staging)[local].size();
+      }
+      out.reserve(total);
+      for (size_t s = 0; s < num_shards; ++s) {
+        if (!shard_gathered[s]) continue;
+        const auto& part = (scratch[s * chunks + c]->*staging)[local];
+        out.insert(out.end(), part.begin(), part.end());
+      }
+    };
     for (size_t c = 0; c < chunks; ++c) {
       const size_t begin = chunk_begin(c);
       const size_t end = chunk_begin(c + 1);
       for (size_t i = begin; i < end; ++i) {
         const size_t local = i - begin;
-        std::vector<uint64_t>& out = outs[i];
-        out.clear();
-        size_t total = 0;
-        for (size_t s = 0; s < num_shards; ++s) {
-          if (shard_gathered[s]) {
-            total += scratch[s * chunks + c]->outs[local].size();
-          }
-        }
-        out.reserve(total);
-        for (size_t s = 0; s < num_shards; ++s) {
-          if (!shard_gathered[s]) continue;
-          const std::vector<uint64_t>& part =
-              scratch[s * chunks + c]->outs[local];
-          out.insert(out.end(), part.begin(), part.end());
-        }
-        if (sort_outputs && num_shards > 1) {
-          std::sort(out.begin(), out.end());
+        if (scored != nullptr) {
+          concat(scored[i], &Shard::Scratch::scored, c, local);
+        } else {
+          concat(ids[i], &Shard::Scratch::outs, c, local);
+          if (num_shards > 1) std::sort(ids[i].begin(), ids[i].end());
         }
         if (stats != nullptr) {
           // Shard-summed probe counters plus the gather split.
@@ -562,21 +574,6 @@ Status ShardedEnsemble::BatchQueryImpl(std::span<const QuerySpec> specs,
         std::span(scratch).subspan(s * chunks, chunks));
   }
   return first_error;
-}
-
-Status ShardedEnsemble::BatchSearch(std::span<const TopKQuery> queries,
-                                    size_t k,
-                                    std::vector<TopKResult>* outs) const {
-  LSHE_RETURN_IF_ERROR(GuardNotInWorker("ShardedEnsemble::BatchSearch"));
-  // ONE admission covers the whole descent: the searcher re-enters
-  // BatchQueryImpl every round, which deliberately does not re-admit
-  // (re-admitting per round could self-deadlock at a bound of 1).
-  AdmissionSlot slot;
-  LSHE_ASSIGN_OR_RETURN(slot, TryAdmit());
-  // The searcher's lockstep descent drives BatchQuery() above every
-  // round; its per-query retire check IS the cross-shard k-th-best merge.
-  const TopKSearcher searcher(this);
-  return searcher.BatchSearch(queries, k, nullptr, outs);
 }
 
 size_t ShardedEnsemble::size() const {
@@ -640,20 +637,6 @@ void ShardedEnsemble::ForEachLiveRecord(
     std::shared_lock lock(shard->mutex);
     shard->engine.ForEachLiveRecord(fn);
   }
-}
-
-Result<bool> ShardedEnsemble::ScoreRecord(const MinHash& query, uint64_t id,
-                                          size_t* size,
-                                          double* jaccard) const {
-  const Shard& shard = *shards_[ShardOf(id)];
-  std::shared_lock lock(shard.mutex);
-  size_t record_size = 0;
-  const SignatureView signature =
-      shard.engine.FindSignature(id, &record_size);
-  if (!signature) return false;
-  LSHE_ASSIGN_OR_RETURN(*jaccard, query.EstimateJaccard(signature));
-  *size = record_size;
-  return true;
 }
 
 }  // namespace lshensemble

@@ -32,24 +32,28 @@
 //    before any forest work, and a query that passes skips the
 //    individual partitions its keys miss — with one-sided error, so the
 //    merged output is byte-identical to the unfiltered scatter.
-//  * BatchSearch() runs the lockstep top-k descent (TopKSearcher bound to
-//    this layer): each round's threshold probe is one scatter/gather over
-//    the shards, and every query's retire decision comes from the k-th
-//    best estimate of the cross-shard merge, so the ranked output is
-//    identical to the unsharded TopKSearcher.
+//  * BatchSearch() is the top-k search (core/topk.h): a lockstep
+//    threshold descent whose every round is one such wave. Each task of
+//    a round scores the candidates its shard found against their query,
+//    under the shard's read lock it already holds, with one many-row
+//    collision count per query; the gather merges the (id, estimate)
+//    pairs, and each query's retire decision comes from the k-th best
+//    estimate of that cross-shard merge, so the ranked output is the
+//    same for every shard count.
 //
-// Per-shard scratch (QueryContext + gather staging) is pooled per shard
-// so every task of a wave, and every concurrent call, gets its own; a
-// context holds no index state. An unsharded caller that wants a batch
-// answered in parallel builds this layer with S = 1: LshEnsemble and
-// DynamicLshEnsemble answer on the calling thread.
+// Per-shard scratch (QueryContext, gather staging, scoring buffers) is
+// pooled per shard so every task of a wave, and every concurrent call,
+// gets its own; a context holds no index state. An unsharded caller that
+// wants a batch answered in parallel, or ranked, builds this layer with
+// S = 1: LshEnsemble and DynamicLshEnsemble answer threshold queries on
+// the calling thread.
 //
 // Threading contract: Insert/Remove/Flush are safe concurrently with
-// BatchQuery (per-shard locks); concurrent mutators are serialized per
-// shard. BatchSearch's side-car ranking runs lookup AND estimate under
-// the owner shard's lock (ScoreRecord), so it is safe concurrently with
-// Insert/Remove/Flush too — including a Flush() that releases a
-// snapshot-opened shard's mapping. The scatter paths — BatchQuery and
+// BatchQuery and BatchSearch (per-shard locks); concurrent mutators are
+// serialized per shard. A task probes, looks up and scores under one
+// hold of its shard's read lock, so a concurrent Flush() — which may
+// release a snapshot-opened shard's mapping — can never unmap a
+// signature mid-estimate. The scatter paths — BatchQuery and
 // BatchSearch — must never be issued from inside a thread-pool worker
 // (the shard wave would submit pool work from within the pool, which can
 // deadlock it); they fail with FailedPrecondition if they are — see
@@ -195,12 +199,14 @@ class ShardedEnsemble {
                     std::vector<uint64_t>* outs, QueryStats* stats) const;
 
   /// \brief Rank `queries.size()` top-k queries in one lockstep descent
-  /// over the shards; query i's ranked results go to `outs[i]`. Identical
-  /// output to an unsharded TopKSearcher with the same options. Safe
-  /// concurrently with mutations — every ranking read is atomic under
-  /// its owner shard's lock (ScoreRecord), though results then reflect
-  /// some interleaving of the concurrent writes. Must not be called
-  /// from a pool worker.
+  /// over the shards; query i's results go to `outs[i]`: the k domains
+  /// with the highest estimated containment, by descending estimate (ties
+  /// by ascending id), fewer when fewer domains overlap the query. The
+  /// output is the same for every shard count. Safe concurrently with
+  /// mutations, though results then reflect some interleaving of the
+  /// concurrent writes. One admission covers the whole descent. On error
+  /// the contents of `outs` are unspecified. Must not be called from a
+  /// pool worker.
   Status BatchSearch(std::span<const TopKQuery> queries, size_t k,
                      std::vector<TopKResult>* outs) const;
 
@@ -240,18 +246,8 @@ class ShardedEnsemble {
   /// \brief Borrowed signature view + exact size in one owner-shard
   /// lookup — heap and snapshot-resident records alike. The view is
   /// only stable until the owning shard mutates, flushes (a flush of a
-  /// snapshot-opened shard releases its mapping), or is destroyed; use
-  /// ScoreRecord() when the read must be atomic with those.
+  /// snapshot-opened shard releases its mapping), or is destroyed.
   SignatureView FindSignature(uint64_t id, size_t* size) const;
-
-  /// \brief Rank a candidate under its owner shard's lock: when `id` is
-  /// live, fills its exact size and the sketch Jaccard estimate against
-  /// `query` and returns true. Lookup and estimate share one lock
-  /// acquisition, so a concurrent Flush() — which may release a
-  /// snapshot-opened shard's mapping — can never invalidate the
-  /// signature mid-estimate. This is the top-k ranking primitive.
-  Result<bool> ScoreRecord(const MinHash& query, uint64_t id, size_t* size,
-                           double* jaccard) const;
 
   /// \brief Invoke `fn(id, size, signature)` for every live domain across
   /// all shards (unspecified order), each shard enumerated under its read
@@ -316,11 +312,6 @@ class ShardedEnsemble {
   size_t in_flight_batches() const;
 
  private:
-  /// The top-k descent gathers unsorted: its ranking dedups by id and
-  /// orders by (estimate, id), so the canonical sort below would be pure
-  /// per-round waste.
-  friend class TopKSearcher;
-
   /// Tests reach a shard's lock to hold a shard back mid-wave.
   friend class ShardedEnsembleTestPeer;
 
@@ -332,11 +323,16 @@ class ShardedEnsemble {
     /// Guards `engine` (shared for queries, exclusive for mutation).
     mutable std::shared_mutex mutex;
     /// One scatter task's scratch: the chunk's context, its gather
-    /// staging and its per-query counters (indexed from the chunk start).
+    /// staging, its per-query counters and scored candidates (indexed
+    /// from the chunk start), and one query's candidate rows and
+    /// collision counts while it is scored.
     struct Scratch {
       QueryContext ctx;
       std::vector<std::vector<uint64_t>> outs;
       std::vector<QueryStats> stats;
+      std::vector<std::vector<TopKResult>> scored;
+      std::vector<const uint64_t*> rows;
+      std::vector<uint32_t> collisions;
     };
     mutable std::mutex scratch_mutex;
     mutable std::vector<std::unique_ptr<Scratch>> scratch_pool;
@@ -354,14 +350,32 @@ class ShardedEnsemble {
                   std::shared_ptr<const HashFamily> family)
       : options_(std::move(options)), family_(std::move(family)) {}
 
-  /// BatchQuery body; `sort_outputs` selects the public canonical
-  /// ascending-id order vs the descent's cheaper unsorted gather.
-  /// `stats` (optional) receives shard-summed per-query counters and the
-  /// partial-results gather split. Does NOT admit — public entry points
-  /// do (the top-k descent calls this per round under ONE admission).
+  /// The scatter/gather wave behind BatchQuery and every top-k descent
+  /// round. Each task probes its chunk on its shard, then finishes each
+  /// query one of two ways: with `ids` set it sorts the candidate ids
+  /// (the gather writes each query's ids to `ids[i]` in canonical
+  /// ascending-id order); with `scored` set it scores them against their
+  /// query (ScoreCandidates; the gather writes each query's (id,
+  /// estimate) pairs to `scored[i]`, unordered). Exactly one of the two
+  /// is non-null. `stats` (optional) receives shard-summed per-query
+  /// counters and the partial-results gather split. Does NOT admit —
+  /// public entry points do (the top-k descent calls this per round
+  /// under ONE admission).
   Status BatchQueryImpl(std::span<const QuerySpec> specs,
-                        std::vector<uint64_t>* outs, bool sort_outputs,
+                        std::vector<uint64_t>* ids,
+                        std::vector<TopKResult>* scored,
                         QueryStats* stats = nullptr) const;
+
+  /// A top-k task's last step (defined in topk.cc, beside the descent):
+  /// writes to `scored` an (id, estimated containment) pair for each
+  /// live candidate in `ids`, estimated against `spec` (whose query size
+  /// is resolved) with one collision count over all of the rows. The
+  /// caller holds the shard's read lock.
+  static void ScoreCandidates(const DynamicLshEnsemble& engine,
+                              const QuerySpec& spec,
+                              const std::vector<uint64_t>& ids,
+                              Shard::Scratch* scratch,
+                              std::vector<TopKResult>* scored);
 
   /// FailedPrecondition when called from a pool worker (see file comment).
   Status GuardNotInWorker(const char* what) const;

@@ -1,93 +1,15 @@
+// ShardedEnsemble::BatchSearch, the lockstep top-k threshold descent (see
+// topk.h), and the per-task candidate scoring its rounds run.
+
 #include "core/topk.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_set>
 
-#include "core/dynamic_ensemble.h"
 #include "core/sharded_ensemble.h"
 #include "core/threshold.h"
+#include "minhash/hash_kernel.h"
 
 namespace lshensemble {
-
-Status SketchStore::Add(uint64_t id, size_t size, MinHash signature) {
-  if (size < 1) {
-    return Status::InvalidArgument("domain size must be >= 1");
-  }
-  if (!signature.valid()) {
-    return Status::InvalidArgument("signature must be valid");
-  }
-  const auto [it, inserted] =
-      entries_.emplace(id, Entry{size, std::move(signature)});
-  (void)it;
-  if (!inserted) {
-    return Status::InvalidArgument("duplicate id in SketchStore");
-  }
-  return Status::OK();
-}
-
-size_t SketchStore::SizeOf(uint64_t id) const {
-  const auto it = entries_.find(id);
-  return it == entries_.end() ? 0 : it->second.size;
-}
-
-const MinHash* SketchStore::SignatureOf(uint64_t id) const {
-  const auto it = entries_.find(id);
-  return it == entries_.end() ? nullptr : &it->second.signature;
-}
-
-SignatureView SketchStore::FindSignature(uint64_t id, size_t* size) const {
-  const auto it = entries_.find(id);
-  if (it == entries_.end()) return {};
-  *size = it->second.size;
-  return it->second.signature.view();
-}
-
-TopKSearcher::TopKSearcher(const LshEnsemble* ensemble,
-                           const SketchStore* store)
-    : ensemble_(ensemble), store_(store) {}
-
-TopKSearcher::TopKSearcher(const DynamicLshEnsemble* index)
-    : dynamic_(index) {}
-
-TopKSearcher::TopKSearcher(const ShardedEnsemble* index) : sharded_(index) {}
-
-Status TopKSearcher::EngineBatchQuery(std::span<const QuerySpec> specs,
-                                      QueryContext* ctx,
-                                      std::vector<uint64_t>* outs) const {
-  if (sharded_ != nullptr) {
-    // Unsorted gather: the ranking below dedups by id and orders by
-    // (estimate, id), so the public contract's canonical sort would be
-    // paid once per descent round for nothing.
-    return sharded_->BatchQueryImpl(specs, outs, /*sort_outputs=*/false);
-  }
-  if (dynamic_ != nullptr) return dynamic_->BatchQuery(specs, ctx, outs);
-  return ensemble_->BatchQuery(specs, ctx, outs);
-}
-
-Result<bool> TopKSearcher::RankLookup(const MinHash& query, uint64_t id,
-                                      size_t* size, double* jaccard) const {
-  if (sharded_ != nullptr) {
-    return sharded_->ScoreRecord(query, id, size, jaccard);
-  }
-  const SignatureView signature = dynamic_ != nullptr
-                                      ? dynamic_->FindSignature(id, size)
-                                      : store_->FindSignature(id, size);
-  if (!signature) return false;
-  LSHE_ASSIGN_OR_RETURN(*jaccard, query.EstimateJaccard(signature));
-  return true;
-}
-
-Result<std::vector<TopKResult>> TopKSearcher::Search(const MinHash& query,
-                                                     size_t query_size,
-                                                     size_t k) const {
-  const TopKQuery one{&query, query_size};
-  std::vector<TopKResult> out;
-  QueryContext ctx;
-  LSHE_RETURN_IF_ERROR(
-      BatchSearch(std::span<const TopKQuery>(&one, 1), k, &ctx, &out));
-  return out;
-}
 
 namespace {
 
@@ -107,52 +29,77 @@ inline bool BetterResult(const TopKResult& a, const TopKResult& b) {
 
 }  // namespace
 
-Status TopKSearcher::BatchSearch(std::span<const TopKQuery> queries, size_t k,
-                                 QueryContext* ctx,
-                                 std::vector<TopKResult>* outs) const {
-  const bool store_bound = ensemble_ != nullptr && store_ != nullptr;
-  if (!store_bound && dynamic_ == nullptr && sharded_ == nullptr) {
-    return Status::FailedPrecondition("searcher not bound to an index");
+void ShardedEnsemble::ScoreCandidates(const DynamicLshEnsemble& engine,
+                                      const QuerySpec& spec,
+                                      const std::vector<uint64_t>& ids,
+                                      Shard::Scratch* scratch,
+                                      std::vector<TopKResult>* scored) {
+  // One side-car lookup per candidate, then one collision count over all
+  // of the query's rows. Each pair stages the candidate's exact size in
+  // its estimate field until the counts are in.
+  scored->clear();
+  scratch->rows.clear();
+  for (const uint64_t id : ids) {
+    size_t size = 0;
+    const SignatureView signature = engine.FindSignature(id, &size);
+    if (!signature) continue;  // not live: nothing to rank
+    scored->push_back({id, static_cast<double>(size)});
+    scratch->rows.push_back(signature.values);
   }
+  if (scored->empty()) return;
+  const std::vector<uint64_t>& query = spec.query->values();
+  const size_t m = query.size();
+  scratch->collisions.resize(scored->size());
+  ActiveKernelOps().count_collisions_many(query.data(), scratch->rows.data(),
+                                          m, scored->size(),
+                                          scratch->collisions.data());
+  const auto q = static_cast<double>(spec.query_size);
+  for (size_t r = 0; r < scored->size(); ++r) {
+    TopKResult& result = (*scored)[r];
+    const double x = result.estimated_containment;
+    const double jaccard = static_cast<double>(scratch->collisions[r]) /
+                           static_cast<double>(m);
+    // Eq. 6 with the candidate's exact size; containment can never
+    // exceed x/q (|Q ∩ X| <= |X|).
+    result.estimated_containment =
+        std::min(JaccardToContainment(jaccard, x, q), std::min(1.0, x / q));
+  }
+}
+
+Status ShardedEnsemble::BatchSearch(std::span<const TopKQuery> queries,
+                                    size_t k,
+                                    std::vector<TopKResult>* outs) const {
+  LSHE_RETURN_IF_ERROR(GuardNotInWorker("ShardedEnsemble::BatchSearch"));
+  // ONE admission covers the whole descent: every round re-enters
+  // BatchQueryImpl, which deliberately does not re-admit (re-admitting
+  // per round could self-deadlock at a bound of 1).
+  AdmissionSlot slot;
+  LSHE_ASSIGN_OR_RETURN(slot, TryAdmit());
   if (k < 1) {
     return Status::InvalidArgument("k must be >= 1");
   }
   const size_t count = queries.size();
   if (count == 0) return Status::OK();
-  // A sharded binding pins scratch per shard, so it never touches `ctx`.
-  if ((ctx == nullptr && sharded_ == nullptr) || outs == nullptr) {
-    return Status::InvalidArgument("ctx and outs must not be null");
+  if (outs == nullptr) {
+    return Status::InvalidArgument("outs must not be null");
   }
 
   // Per-query descent state. All queries follow the same fixed threshold
-  // schedule, which is what makes the lockstep rounds below produce
-  // exactly the per-query Search() answers.
+  // schedule, which is what makes the lockstep rounds produce exactly the
+  // one-query-at-a-time answers. `seen` holds, sorted, every id scored in
+  // an earlier round, so an id a later round finds again is not ranked
+  // twice.
   struct State {
-    size_t q = 0;
-    double qd = 0.0;
     bool active = true;
-    std::unordered_set<uint64_t> seen;
+    std::vector<uint64_t> seen;
     std::vector<TopKResult> scored;
   };
   std::vector<State> states(count);
-  for (size_t i = 0; i < count; ++i) {
-    if (queries[i].query == nullptr || !queries[i].query->valid()) {
-      return Status::InvalidArgument("query must be a valid MinHash");
-    }
-    size_t q = queries[i].query_size;
-    if (q == 0) {
-      q = static_cast<size_t>(std::max<int64_t>(
-          1, std::llround(queries[i].query->EstimateCardinality())));
-    }
-    states[i].q = q;
-    states[i].qd = static_cast<double>(q);
-  }
-
   std::vector<QuerySpec> specs;
   std::vector<size_t> active_index;  // specs[j] is query active_index[j]
   specs.reserve(count);
   active_index.reserve(count);
-  std::vector<std::vector<uint64_t>> candidates(count);
+  std::vector<std::vector<TopKResult>> round(count);
 
   double threshold = kInitialThreshold;
   while (true) {
@@ -160,33 +107,31 @@ Status TopKSearcher::BatchSearch(std::span<const TopKQuery> queries, size_t k,
     active_index.clear();
     for (size_t i = 0; i < count; ++i) {
       if (!states[i].active) continue;
-      specs.push_back(QuerySpec{queries[i].query, states[i].q, threshold,
-                                queries[i].deadline_ns});
+      specs.push_back(QuerySpec{queries[i].query, queries[i].query_size,
+                                threshold, queries[i].deadline_ns});
       active_index.push_back(i);
     }
     if (specs.empty()) break;
-    // One batched probe serves every still-active descent this round.
-    LSHE_RETURN_IF_ERROR(EngineBatchQuery(specs, ctx, candidates.data()));
+    // One wave serves every still-active descent this round; its tasks
+    // return each query's candidates already scored.
+    LSHE_RETURN_IF_ERROR(
+        BatchQueryImpl(specs, /*ids=*/nullptr, round.data()));
 
     const bool at_floor = threshold <= kMinThreshold;
     for (size_t j = 0; j < active_index.size(); ++j) {
       State& state = states[active_index[j]];
-      const MinHash& query = *queries[active_index[j]].query;
-      for (uint64_t id : candidates[j]) {
-        if (!state.seen.insert(id).second) continue;
-        size_t x_size = 0;
-        double jaccard = 0.0;
-        Result<bool> ranked = RankLookup(query, id, &x_size, &jaccard);
-        if (!ranked.ok()) return ranked.status();
-        if (!*ranked) continue;  // not side-car'd; unrankable
-        const auto x = static_cast<double>(x_size);
-        // Eq. 6 with the candidate's exact size; containment can never
-        // exceed x/q (|Q ∩ X| <= |X|).
-        const double estimate =
-            std::min(JaccardToContainment(jaccard, x, state.qd),
-                     std::min(1.0, x / state.qd));
-        state.scored.push_back({id, estimate});
+      const auto seen_before = static_cast<ptrdiff_t>(state.seen.size());
+      for (const TopKResult& result : round[j]) {
+        if (std::binary_search(state.seen.begin(),
+                               state.seen.begin() + seen_before, result.id)) {
+          continue;
+        }
+        state.seen.push_back(result.id);
+        state.scored.push_back(result);
       }
+      std::sort(state.seen.begin() + seen_before, state.seen.end());
+      std::inplace_merge(state.seen.begin(), state.seen.begin() + seen_before,
+                         state.seen.end());
 
       // Keep the best k so far to decide whether descending further can
       // still change this query's answer.

@@ -45,15 +45,6 @@ const std::string& Catalog::NameOf(uint64_t id) const {
   return entry == nullptr ? kUnknownName : entry->name;
 }
 
-Result<SketchStore> Catalog::ToSketchStore() const {
-  SketchStore store;
-  for (const CatalogEntry& entry : entries_) {
-    LSHE_RETURN_IF_ERROR(
-        store.Add(entry.id, entry.size, entry.signature));
-  }
-  return store;
-}
-
 Status Catalog::SerializeTo(std::string* out) const {
   if (out == nullptr) {
     return Status::InvalidArgument("out must not be null");

@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/topk.h"
 #include "io/env.h"
 #include "minhash/minhash.h"
 #include "util/result.h"
@@ -50,10 +49,6 @@ class Catalog {
   const CatalogEntry* Find(uint64_t id) const;
   /// Provenance name for `id`, or "<unknown id>" when absent.
   const std::string& NameOf(uint64_t id) const;
-
-  /// \brief Build the SketchStore a TopKSearcher needs (copies the
-  /// signatures).
-  Result<SketchStore> ToSketchStore() const;
 
   /// \brief Serialize into a checksummed image (magic, family, entries).
   Status SerializeTo(std::string* out) const;

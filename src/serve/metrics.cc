@@ -98,6 +98,9 @@ std::string ServerMetrics::RenderPrometheus() const {
   AppendCounter(&out, "lshe_serve_protocol_errors_total",
                 "Connections dropped for framing violations",
                 get(protocol_errors));
+  AppendCounter(&out, "lshe_serve_output_paused_total",
+                "Connection reads paused at the output high-water mark",
+                get(output_paused));
   AppendCounter(&out, "lshe_serve_batches_total",
                 "Engine dispatch waves issued", get(batches_dispatched));
   AppendCounter(&out, "lshe_serve_batched_requests_total",

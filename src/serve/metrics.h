@@ -78,6 +78,11 @@ struct ServerMetrics {
   std::atomic<uint64_t> request_errors{0};
   /// Connections dropped for protocol violations (bad framing).
   std::atomic<uint64_t> protocol_errors{0};
+  /// Times a connection's reads were paused because its unsent output
+  /// passed kOutputHighWaterBytes (a client pipelining without reading).
+  std::atomic<uint64_t> output_paused{0};
+  /// The most unsent output bytes any one connection has held.
+  std::atomic<uint64_t> output_buffered_peak_bytes{0};
   // ---- the micro-batcher ----
   /// Engine dispatch waves issued (each one BatchQuery/BatchSearch).
   std::atomic<uint64_t> batches_dispatched{0};

@@ -121,7 +121,7 @@ struct TopKEntry {
 };
 
 /// \brief Ranked results answering a TopKRequest (descending estimate,
-/// ties ascending id — TopKSearcher's order).
+/// ties ascending id — ShardedEnsemble::BatchSearch's order).
 struct TopKResponse {
   uint64_t request_id = 0;
   std::vector<TopKEntry> entries;

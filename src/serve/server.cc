@@ -81,7 +81,11 @@ struct Connection {
   bool http = false;
   std::string http_buf;  // sniff prefix, then the HTTP request text
   bool http_answered = false;  // response queued; later input is dropped
-  bool write_armed = false;
+
+  // Reactor-thread-only poller interest, changed under `mutex` beside the
+  // output it follows.
+  bool write_armed = false;  // EPOLLOUT: unsent output waits on the socket
+  bool read_paused = false;  // no EPOLLIN: output above the high-water mark
 
   // Cross-thread output state, guarded by `mutex`.
   std::mutex mutex;
@@ -108,8 +112,12 @@ class Poller {
 #endif
   }
 
-  void Add(int fd, bool want_write) { Set(fd, want_write, /*add=*/true); }
-  void Update(int fd, bool want_write) { Set(fd, want_write, /*add=*/false); }
+  void Add(int fd) {
+    Set(fd, /*want_read=*/true, /*want_write=*/false, /*add=*/true);
+  }
+  void Update(int fd, bool want_read, bool want_write) {
+    Set(fd, want_read, want_write, /*add=*/false);
+  }
 
   void Remove(int fd) {
 #ifdef __linux__
@@ -134,9 +142,11 @@ class Poller {
     }
 #else
     scratch_.clear();
-    for (const auto& [fd, want_write] : interest_) {
-      scratch_.push_back(
-          {fd, static_cast<short>(POLLIN | (want_write ? POLLOUT : 0)), 0});
+    for (const auto& [fd, want] : interest_) {
+      scratch_.push_back({fd,
+                          static_cast<short>((want.first ? POLLIN : 0) |
+                                             (want.second ? POLLOUT : 0)),
+                          0});
     }
     if (::poll(scratch_.data(), scratch_.size(), -1) <= 0) return;
     for (const auto& p : scratch_) {
@@ -148,22 +158,23 @@ class Poller {
   }
 
  private:
-  void Set(int fd, bool want_write, bool add) {
+  void Set(int fd, bool want_read, bool want_write, bool add) {
 #ifdef __linux__
     struct epoll_event ev = {};
-    ev.events = EPOLLIN | (want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
+    ev.events = (want_read ? static_cast<uint32_t>(EPOLLIN) : 0u) |
+                (want_write ? static_cast<uint32_t>(EPOLLOUT) : 0u);
     ev.data.fd = fd;
     ::epoll_ctl(epfd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd, &ev);
 #else
     (void)add;
-    interest_[fd] = want_write;
+    interest_[fd] = {want_read, want_write};
 #endif
   }
 
 #ifdef __linux__
   int epfd_ = -1;
 #else
-  std::unordered_map<int, bool> interest_;
+  std::unordered_map<int, std::pair<bool, bool>> interest_;
   std::vector<struct pollfd> scratch_;
 #endif
 };
@@ -276,6 +287,13 @@ struct Server::Impl {
       if (conn->closed) return;
       first_pending = conn->out.empty();
       conn->out.append(frame);
+      const uint64_t unsent = conn->out.size() - conn->out_offset;
+      uint64_t peak =
+          metrics.output_buffered_peak_bytes.load(std::memory_order_relaxed);
+      while (unsent > peak &&
+             !metrics.output_buffered_peak_bytes.compare_exchange_weak(
+                 peak, unsent, std::memory_order_relaxed)) {
+      }
     }
     metrics.responses_sent.fetch_add(1, std::memory_order_relaxed);
     // Only the empty -> non-empty transition needs a wakeup: a non-empty
@@ -358,7 +376,7 @@ struct Server::Impl {
     }
     for (ConnPtr& conn : incoming) {
       r.conns[conn->fd] = conn;
-      r.poller.Add(conn->fd, /*want_write=*/false);
+      r.poller.Add(conn->fd);
     }
     for (ConnPtr& conn : writable) {
       if (!IsClosed(conn)) FlushConnection(r, conn);
@@ -386,7 +404,7 @@ struct Server::Impl {
       Reactor& target = *reactors[conn->reactor_index];
       if (conn->reactor_index == 0) {
         target.conns[fd] = conn;
-        target.poller.Add(fd, /*want_write=*/false);
+        target.poller.Add(fd);
       } else {
         {
           std::lock_guard<std::mutex> lock(target.queue_mutex);
@@ -411,7 +429,9 @@ struct Server::Impl {
 
   void HandleReadable(Reactor& r, const ConnPtr& conn) {
     char buf[16384];
-    for (;;) {
+    // A paused connection only reaches here on an error or hangup, which
+    // the flush below turns into a close.
+    while (!PauseReadsIfBacklogged(r, conn)) {
       const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
       if (n > 0) {
         metrics.bytes_read.fetch_add(static_cast<uint64_t>(n),
@@ -432,6 +452,20 @@ struct Server::Impl {
       return;
     }
     FlushConnection(r, conn);
+  }
+
+  /// Stop reading `conn` while its unsent output is above the high-water
+  /// mark (FlushConnection resumes it once the output is all written).
+  /// Returns whether its reads are paused.
+  bool PauseReadsIfBacklogged(Reactor& r, const ConnPtr& conn) {
+    std::lock_guard<std::mutex> lock(conn->mutex);
+    if (!conn->read_paused &&
+        conn->out.size() - conn->out_offset > kOutputHighWaterBytes) {
+      conn->read_paused = true;
+      r.poller.Update(conn->fd, /*want_read=*/false, conn->write_armed);
+      metrics.output_paused.fetch_add(1, std::memory_order_relaxed);
+    }
+    return conn->read_paused;
   }
 
   /// Feed freshly read bytes through mode sniffing into frame decoding
@@ -637,7 +671,8 @@ struct Server::Impl {
   }
 
   /// Write as much buffered output as the socket accepts; arm EPOLLOUT
-  /// for the rest. Reactor-thread-only (the sole writer of the fd).
+  /// for the rest, and resume paused reads once it is all written.
+  /// Reactor-thread-only (the sole writer of the fd).
   void FlushConnection(Reactor& r, const ConnPtr& conn) {
     bool close_now = false;
     {
@@ -662,13 +697,15 @@ struct Server::Impl {
         if (conn->out_offset == conn->out.size()) {
           conn->out.clear();
           conn->out_offset = 0;
-          if (conn->write_armed) {
-            r.poller.Update(conn->fd, /*want_write=*/false);
+          if (conn->write_armed || conn->read_paused) {
+            r.poller.Update(conn->fd, /*want_read=*/true,
+                            /*want_write=*/false);
             conn->write_armed = false;
+            conn->read_paused = false;
           }
           close_now = conn->close_after_flush;
         } else if (!conn->write_armed) {
-          r.poller.Update(conn->fd, /*want_write=*/true);
+          r.poller.Update(conn->fd, !conn->read_paused, /*want_write=*/true);
           conn->write_armed = true;
         }
       }
@@ -924,6 +961,10 @@ struct Server::Impl {
                     metrics.connections_accepted.load(
                         std::memory_order_relaxed) -
                     metrics.connections_closed.load(std::memory_order_relaxed)));
+    AppendGauge(&out, "lshe_serve_output_buffered_peak_bytes",
+                "Most unsent output bytes one connection has held",
+                static_cast<double>(metrics.output_buffered_peak_bytes.load(
+                    std::memory_order_relaxed)));
     std::shared_ptr<const ShardedEnsemble> engine = source();
     if (engine) {
       AppendGauge(&out, "lshe_serve_engine_shards", "Shards in the engine",
@@ -997,10 +1038,10 @@ struct Server::Impl {
       r->wake_write = fds[1];
       LSHE_RETURN_IF_ERROR(SetNonBlocking(r->wake_read));
       LSHE_RETURN_IF_ERROR(SetNonBlocking(r->wake_write));
-      r->poller.Add(r->wake_read, /*want_write=*/false);
+      r->poller.Add(r->wake_read);
       reactors.push_back(std::move(r));
     }
-    reactors[0]->poller.Add(listen_fd, /*want_write=*/false);
+    reactors[0]->poller.Add(listen_fd);
     for (size_t i = 0; i < reactors.size(); ++i) {
       reactors[i]->thread = std::thread([this, i] { ReactorLoop(i); });
     }

@@ -29,7 +29,9 @@
 // engine at max_in_flight_batches sheds with a *retryable* error frame;
 // an expired per-request deadline fails that request alone; in
 // partial-results mode responses that lost shards to the deadline carry
-// kResponseFlagPartial. Every one of these shows up in /metrics.
+// kResponseFlagPartial; a connection whose unsent output passes
+// kOutputHighWaterBytes is not read until it drains. Every one of these
+// shows up in /metrics.
 //
 // The /metrics endpoint shares the data port: a connection whose first
 // four bytes are "GET " is answered as a one-shot HTTP scrape (the
@@ -54,6 +56,15 @@
 
 namespace lshensemble {
 namespace serve {
+
+/// \brief The per-connection output high-water mark. A reactor stops
+/// reading a connection while the bytes queued for it and not yet written
+/// exceed this, and resumes once FlushConnection has written them all, so
+/// a client that pipelines requests and never reads cannot grow server
+/// memory past the mark plus the responses to requests already read.
+/// Far above what a reading client leaves queued (a 64-request pipeline
+/// window of a few KB per response).
+inline constexpr size_t kOutputHighWaterBytes = size_t{1} << 20;
 
 /// \brief Tuning knobs for Server::Start(). The defaults serve a small
 /// deployment; docs/serving.md discusses how to tune each.

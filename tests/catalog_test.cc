@@ -125,17 +125,6 @@ TEST_F(CatalogTest, EmptyCatalogRoundTrip) {
   EXPECT_EQ(restored->size(), 0u);
 }
 
-TEST_F(CatalogTest, ToSketchStore) {
-  Catalog catalog(family_);
-  ASSERT_TRUE(catalog.Add(11, "a", 30, RandomSketch(1, 30)).ok());
-  ASSERT_TRUE(catalog.Add(12, "b", 40, RandomSketch(2, 40)).ok());
-  auto store = catalog.ToSketchStore();
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ(store->size(), 2u);
-  EXPECT_EQ(store->SizeOf(11), 30u);
-  EXPECT_NE(store->SignatureOf(12), nullptr);
-}
-
 TEST_F(CatalogTest, MissingFileIsNotFound) {
   auto loaded = Catalog::Load(ProcessTempPath("no_such_catalog"));
   ASSERT_FALSE(loaded.ok());

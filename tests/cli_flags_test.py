@@ -13,6 +13,7 @@ Run via ctest (registered as CliFlagsTest.Python), or directly:
 """
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -110,6 +111,52 @@ class CliFlagsTest(unittest.TestCase):
                               "city", "--threshold", "0.5", cwd=tmp)
             self.assertEqual(result.returncode, 0, result.stderr)
             self.assertIn("a.csv:city", result.stdout)
+
+    def test_topk_is_the_same_on_every_path(self):
+        # query --topk, batch-query --topk and batch-query --topk --shards
+        # rank the same candidates: the ranked lines (estimate, name) must
+        # match once the headers, which carry timings, are dropped.
+        tables = {
+            "a.csv": "city,partner\nToronto,Acme\nOttawa,Bob\n"
+                     "Montreal,Acme\nCalgary,Dan\n",
+            "b.csv": "town,owner\nToronto,X\nOttawa,Y\nVancouver,Z\n"
+                     "Halifax,W\n",
+            "c.csv": "place,ceo\nToronto,A\nEdmonton,B\nOttawa,C\n"
+                     "Montreal,D\nWinnipeg,E\n",
+            "q.csv": "city,owner\nToronto,X\nOttawa,Y\nMontreal,Z\n"
+                     "Edmonton,W\n",
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in tables.items():
+                with open(os.path.join(tmp, name), "w",
+                          encoding="utf-8") as f:
+                    f.write(text)
+            result = run_lshe("index", "--out", "idx.lshe", "--catalog",
+                              "idx.cat", "--min-size", "2", "--hashes",
+                              "64", "a.csv", "b.csv", "c.csv", cwd=tmp)
+            self.assertEqual(result.returncode, 0, result.stderr)
+            common = ("--index", "idx.lshe", "--catalog", "idx.cat",
+                      "--query-csv", "q.csv", "--topk", "3")
+            # batch-query names its query columns "file:column".
+            batch = ("batch-query", *common, "--column", "q.csv:city",
+                     "--min-size", "2")
+            runs = {
+                "query": ("query", *common, "--column", "city"),
+                "batch-query": batch,
+                "batch-query --shards 2": (*batch, "--shards", "2"),
+            }
+            ranked = {}
+            for label, args in runs.items():
+                result = run_lshe(*args, cwd=tmp)
+                self.assertEqual(result.returncode, 0,
+                                 f"{label}: {result.stderr}")
+                ranked[label] = [
+                    line.strip() for line in result.stdout.splitlines()
+                    if re.match(r"^\s+\d\.\d{3}\s+\S", line)]
+            self.assertEqual(len(ranked["query"]), 3, ranked)
+            self.assertIn("c.csv:place", ranked["query"][0])
+            for label, lines in ranked.items():
+                self.assertEqual(lines, ranked["query"], label)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 // Thread-safety claims under real concurrency: LshEnsemble::Query,
-// TopKSearcher::Search and the Tuner's shared memo cache are documented
-// as safe for concurrent readers; DynamicLshEnsemble for concurrent
+// ShardedEnsemble::BatchSearch and the Tuner's shared memo cache are
+// documented as safe for concurrent readers; DynamicLshEnsemble for concurrent
 // queries between mutations. These tests hammer them from many threads
 // and require bit-identical agreement with serial execution.
 
@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "core/dynamic_ensemble.h"
 #include "core/lsh_ensemble.h"
+#include "core/sharded_ensemble.h"
 #include "core/topk.h"
 #include "core/tuning.h"
 #include "io/ensemble_io.h"
@@ -42,9 +44,10 @@ class ConcurrencyTest : public ::testing::Test {
     LshEnsembleBuilder builder(options, family_);
     for (size_t i = 0; i < corpus_->size(); ++i) {
       const Domain& domain = corpus_->domain(i);
-      MinHash sketch = MinHash::FromValues(family_, domain.values);
-      ASSERT_TRUE(builder.Add(domain.id, domain.size(), sketch).ok());
-      ASSERT_TRUE(store_.Add(domain.id, domain.size(), std::move(sketch)).ok());
+      ASSERT_TRUE(builder
+                      .Add(domain.id, domain.size(),
+                           MinHash::FromValues(family_, domain.values))
+                      .ok());
     }
     ensemble_ = std::move(builder).Build().value();
 
@@ -64,9 +67,27 @@ class ConcurrencyTest : public ::testing::Test {
     return out;
   }
 
+  /// The same corpus on a two-shard serving layer (the top-k engine),
+  /// partitioned like ensemble_.
+  ShardedEnsemble BuildSharded() const {
+    ShardedEnsembleOptions options;
+    options.base.base = ensemble_->options();
+    options.base.min_delta_for_rebuild = 1 << 30;
+    options.num_shards = 2;
+    auto index = ShardedEnsemble::Create(options, family_).value();
+    for (size_t i = 0; i < corpus_->size(); ++i) {
+      const Domain& domain = corpus_->domain(i);
+      EXPECT_TRUE(index
+                      .Insert(domain.id, domain.size(),
+                              MinHash::FromValues(family_, domain.values))
+                      .ok());
+    }
+    EXPECT_TRUE(index.Flush().ok());
+    return index;
+  }
+
   std::optional<Corpus> corpus_;
   std::shared_ptr<const HashFamily> family_;
-  SketchStore store_;
   std::optional<LshEnsemble> ensemble_;
   std::vector<size_t> query_indices_;
 };
@@ -268,19 +289,24 @@ TEST_F(ConcurrencyTest, TunerCacheIsThreadSafe) {
 }
 
 TEST_F(ConcurrencyTest, ParallelTopKSearchesAgree) {
-  TopKSearcher searcher(&*ensemble_, &store_);
+  const ShardedEnsemble index = BuildSharded();
   const Domain& query = corpus_->domain(404);
   const MinHash sketch = MinHash::FromValues(family_, query.values);
-  auto expected = searcher.Search(sketch, query.size(), 10);
-  ASSERT_TRUE(expected.ok());
+  const TopKQuery one{&sketch, query.size()};
+  const std::span<const TopKQuery> batch(&one, 1);
+  std::vector<TopKResult> expected;
+  ASSERT_TRUE(index.BatchSearch(batch, 10, &expected).ok());
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int round = 0; round < 10; ++round) {
-        auto results = searcher.Search(sketch, query.size(), 10);
-        if (!results.ok() || *results != *expected) mismatches.fetch_add(1);
+        std::vector<TopKResult> results;
+        if (!index.BatchSearch(batch, 10, &results).ok() ||
+            results != expected) {
+          mismatches.fetch_add(1);
+        }
       }
     });
   }
@@ -393,11 +419,11 @@ TEST_F(ConcurrencyTest, DynamicBatchQueryConcurrentReaders) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// Concurrent lockstep top-k descents over the shared static index: each
-// thread drives its own BatchSearch with a private context and must get
-// the serial per-query answers.
+// Concurrent lockstep top-k descents over one shared serving layer: each
+// thread drives its own BatchSearch, whose waves pin their own shard
+// scratch, and must get the serial answers.
 TEST_F(ConcurrencyTest, ConcurrentBatchTopKSearchesAgree) {
-  TopKSearcher searcher(&*ensemble_, &store_);
+  const ShardedEnsemble index = BuildSharded();
   std::vector<size_t> batch_indices;
   for (size_t qi = 0; qi < 10 * 271; qi += 271) batch_indices.push_back(qi);
   std::vector<MinHash> sketches;
@@ -411,20 +437,16 @@ TEST_F(ConcurrencyTest, ConcurrentBatchTopKSearchesAgree) {
         &sketches[i], corpus_->domain(batch_indices[i]).size()});
   }
   std::vector<std::vector<TopKResult>> expected(queries.size());
-  {
-    QueryContext ctx;
-    ASSERT_TRUE(searcher.BatchSearch(queries, 10, &ctx, expected.data()).ok());
-  }
+  ASSERT_TRUE(index.BatchSearch(queries, 10, expected.data()).ok());
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      QueryContext ctx;
       std::vector<std::vector<TopKResult>> outs(queries.size());
       for (int round = 0; round < 3; ++round) {
-        if (!searcher.BatchSearch(queries, 10, &ctx, outs.data()).ok()) {
+        if (!index.BatchSearch(queries, 10, outs.data()).ok()) {
           mismatches.fetch_add(1);
           continue;
         }

@@ -114,14 +114,14 @@ TEST_F(DeadlineTest, ExpiredDeadlineFailsEveryLayerBeforeWork) {
   EXPECT_TRUE(
       sharded.BatchQuery(expired, outs.data()).IsDeadlineExceeded());
 
-  // Top-k descent, sharded and unsharded.
+  // Top-k descent, on three shards and on one.
   std::vector<TopKQuery> topk = {
       TopKQuery{&sketches_[0], corpus_->domain(0).size(), kExpired}};
   std::vector<TopKResult> ranked;
   EXPECT_TRUE(sharded.BatchSearch(topk, 5, &ranked).IsDeadlineExceeded());
-  const TopKSearcher searcher(&dynamic);
-  EXPECT_TRUE(
-      searcher.BatchSearch(topk, 5, &ctx, &ranked).IsDeadlineExceeded());
+  auto one_shard = ShardedEnsemble::Create(ShardOptions(1), family_).value();
+  Fill(&one_shard, 100);
+  EXPECT_TRUE(one_shard.BatchSearch(topk, 5, &ranked).IsDeadlineExceeded());
 }
 
 TEST_F(DeadlineTest, FutureDeadlineIsInvisibleInResults) {

@@ -19,7 +19,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <memory>
 #include <mutex>
@@ -511,6 +513,112 @@ TEST_F(ServeServerTest, MalformedFramingDropsConnection) {
   EXPECT_TRUE(
       fresh.Query(sketches_[0], corpus_->domain(0).size(), 0.5).ok());
   EXPECT_GE(server->metrics().protocol_errors.load(), 1u);
+}
+
+// A client that pipelines requests and never reads cannot grow the
+// server's output buffer without bound: once a connection's unsent bytes
+// pass kOutputHighWaterBytes its reactor stops reading it, so the buffer
+// holds at most the mark plus the response that crossed it; other
+// connections are still answered, and draining the output resumes reads.
+TEST_F(ServeServerTest, ClientThatNeverReadsIsPausedAtTheHighWaterMark) {
+  auto server = StartServer();
+  const ServerMetrics& metrics = server->metrics();
+
+  // Every request is the same query at a low threshold, so every response
+  // is large and exactly `response_bytes` long (fixed-width encoding).
+  const MinHash& sketch = sketches_[0];
+  const uint64_t query_size = corpus_->domain(0).size();
+  Client reader = ConnectTo(*server);
+  auto direct = reader.Query(sketch, query_size, 0.05);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  std::string encoded;
+  EncodeQueryResponse(*direct, &encoded);
+  const size_t response_bytes = encoded.size();
+
+  // A raw socket with a small receive buffer, so the kernel absorbs little
+  // of what the server writes before its own buffer fills.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  // Send requests and wait for their answers to be queued, never
+  // reading. Windows of 64 fill the socket buffers and the output while a
+  // whole window cannot reach the mark; then one request at a time, so
+  // the reactor notices the backlog on the read after the response that
+  // crossed the mark, before that request is taken off the socket.
+  auto wait_for = [](const std::function<bool()>& done) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() > give_up) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  constexpr size_t kWindow = 64;
+  const uint64_t answered_before = metrics.responses_sent.load();
+  uint64_t sent = 0;
+  size_t window = kWindow;
+  while (metrics.output_paused.load() == 0) {
+    ASSERT_LT(sent, 1000000u) << "the server never paused the reader";
+    if (metrics.output_buffered_peak_bytes.load() +
+            kWindow * response_bytes >=
+        kOutputHighWaterBytes) {
+      window = 1;
+    }
+    std::string frames;
+    for (size_t i = 0; i < window; ++i) {
+      QueryRequest req;
+      req.request_id = ++sent;
+      req.family_seed = family_->seed();
+      req.t_star = 0.05;
+      req.query_size = query_size;
+      req.slots = sketch.values();
+      EncodeQueryRequest(req, &frames);
+    }
+    ASSERT_EQ(::write(fd, frames.data(), frames.size()),
+              static_cast<ssize_t>(frames.size()));
+    ASSERT_TRUE(wait_for([&] {
+      return metrics.responses_sent.load() >= answered_before + sent ||
+             metrics.output_paused.load() > 0;
+    }));
+  }
+  ASSERT_EQ(window, 1u);
+  // Paused: the last request stays unread while the output waits.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(metrics.responses_sent.load(), answered_before + sent - 1);
+  EXPECT_EQ(metrics.output_paused.load(), 1u);
+  EXPECT_GT(metrics.output_buffered_peak_bytes.load(), kOutputHighWaterBytes);
+  EXPECT_LE(metrics.output_buffered_peak_bytes.load(),
+            kOutputHighWaterBytes + response_bytes);
+  EXPECT_NE(server->RenderMetrics().find("lshe_serve_output_paused_total 1"),
+            std::string::npos);
+
+  // Other connections are unaffected.
+  auto other = reader.Query(sketch, query_size, 0.05);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_EQ(other->ids, direct->ids);
+
+  // Reading everything drains the output, which resumes reads: the
+  // paused request is answered too (beside the other connection's one).
+  std::vector<char> buf(1 << 16);
+  size_t received = 0;
+  while (received < sent * response_bytes) {
+    const ssize_t n = ::read(fd, buf.data(), buf.size());
+    ASSERT_GT(n, 0);
+    received += static_cast<size_t>(n);
+  }
+  EXPECT_EQ(received, sent * response_bytes);
+  EXPECT_EQ(metrics.responses_sent.load(), answered_before + sent + 1);
+  server->Stop();
+  ::close(fd);
 }
 
 TEST_F(ServeServerTest, StopIsIdempotentAndClosesClients) {

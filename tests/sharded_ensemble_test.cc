@@ -29,6 +29,7 @@
 #include "util/clock.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
+#include "topk_reference.h"
 #include "workload/generator.h"
 
 namespace lshensemble {
@@ -226,45 +227,53 @@ TEST_F(ShardedEnsembleTest, BatchQueryMatchesUnshardedThroughLifecycle) {
   }
 }
 
-// Ranked top-k output must be byte-identical to the unsharded searcher:
-// the cross-shard k-th-best merge retires every query at the same round
-// with the same results.
+// Ranked top-k output must be exactly the documented descent's, run one
+// query at a time over one unsharded engine (tests/topk_reference.h), ties
+// included: the in-task scoring and the cross-shard k-th-best merge retire
+// every query at the same round with the same results, at every shard
+// count.
 TEST_F(ShardedEnsembleTest, BatchSearchMatchesUnshardedTopK) {
   DynamicEnsembleOptions reference_options = ShardOptions(1).base;
   auto reference =
       DynamicLshEnsemble::Create(reference_options, family_).value();
-  auto sharded = ShardedEnsemble::Create(ShardOptions(3), family_).value();
-
   for (size_t i = 0; i < corpus_->size(); ++i) {
     ASSERT_TRUE(InsertDomain(reference, i).ok());
-    ASSERT_TRUE(InsertDomain(sharded, i).ok());
   }
-  // Flush 90%, keep the rest as delta, and tombstone a few.
+  // Flush, then remove and re-insert a tail: delta records and
+  // tombstones both take part in the ranking.
   ASSERT_TRUE(reference.Flush().ok());
-  ASSERT_TRUE(sharded.Flush().ok());
   for (size_t i = corpus_->size() - 20; i < corpus_->size(); ++i) {
     ASSERT_TRUE(reference.Remove(corpus_->domain(i).id).ok());
-    ASSERT_TRUE(sharded.Remove(corpus_->domain(i).id).ok());
     ASSERT_TRUE(InsertDomain(reference, i).ok());
-    ASSERT_TRUE(InsertDomain(sharded, i).ok());
   }
 
   std::vector<TopKQuery> queries;
   for (size_t j = 0; j < 24; ++j) {
     const size_t pick = (j * 53) % corpus_->size();
-    queries.push_back(
-        TopKQuery{&sketches_[pick], corpus_->domain(pick).size()});
+    // Every third query leaves |Q| to the sketch estimate.
+    const size_t size = j % 3 == 2 ? 0 : corpus_->domain(pick).size();
+    queries.push_back(TopKQuery{&sketches_[pick], size});
   }
-  for (const size_t k : {size_t{1}, size_t{5}, size_t{10}}) {
-    SCOPED_TRACE("k=" + std::to_string(k));
-    std::vector<std::vector<TopKResult>> expected(queries.size());
-    std::vector<std::vector<TopKResult>> actual(queries.size());
-    QueryContext ctx;
-    const TopKSearcher searcher(&reference);
-    ASSERT_TRUE(searcher.BatchSearch(queries, k, &ctx, expected.data()).ok());
-    ASSERT_TRUE(sharded.BatchSearch(queries, k, actual.data()).ok());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(actual[i], expected[i]) << "query " << i;
+  for (const size_t num_shards : {size_t{1}, size_t{3}}) {
+    auto sharded =
+        ShardedEnsemble::Create(ShardOptions(num_shards), family_).value();
+    for (size_t i = 0; i < corpus_->size(); ++i) {
+      ASSERT_TRUE(InsertDomain(sharded, i).ok());
+    }
+    ASSERT_TRUE(sharded.Flush().ok());
+    for (size_t i = corpus_->size() - 20; i < corpus_->size(); ++i) {
+      ASSERT_TRUE(sharded.Remove(corpus_->domain(i).id).ok());
+      ASSERT_TRUE(InsertDomain(sharded, i).ok());
+    }
+    for (const size_t k : {size_t{1}, size_t{5}, size_t{10}}) {
+      SCOPED_TRACE("S=" + std::to_string(num_shards) +
+                   " k=" + std::to_string(k));
+      std::vector<std::vector<TopKResult>> actual(queries.size());
+      ASSERT_TRUE(sharded.BatchSearch(queries, k, actual.data()).ok());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(actual[i], ReferenceTopK(reference, queries[i], k))
+            << "query " << i;
+      }
     }
   }
 }
@@ -466,6 +475,23 @@ TEST(ShardedConcurrencyTest, ConcurrentReadersWithConcurrentInserts) {
   std::atomic<bool> stop{false};
   std::atomic<int> reader_failures{0};
   std::vector<std::thread> readers;
+  // A top-k reader: its shard tasks score candidates under the read lock
+  // while the writer's auto-rebuilds swap shard engines.
+  readers.emplace_back([&] {
+    std::vector<TopKQuery> queries;
+    for (size_t j = 0; j < 8; ++j) {
+      const size_t pick = (j * 29) % seeded;
+      queries.push_back(
+          TopKQuery{&sketches[pick], corpus.domain(pick).size()});
+    }
+    std::vector<std::vector<TopKResult>> ranked(queries.size());
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (!index.BatchSearch(queries, 5, ranked.data()).ok()) {
+        reader_failures.fetch_add(1);
+        return;
+      }
+    }
+  });
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&, r] {
       std::vector<QuerySpec> specs;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "test_tmp.h"
+#include "topk_reference.h"
 #include "core/dynamic_ensemble.h"
 #include "core/lsh_ensemble.h"
 #include "core/sharded_ensemble.h"
@@ -598,23 +599,14 @@ class DynamicSnapshotTest : public ::testing::Test {
       }
       EXPECT_EQ(outs_b[i], outs_a[i]) << "query " << i;
     }
-    // Top-k rides the same engines plus the side-car lookups (its
-    // ranked order is canonical regardless of candidate order).
-    TopKSearcher searcher_a(&a);
-    TopKSearcher searcher_b(&b);
-    std::vector<TopKQuery> queries;
+    // Top-k rides the same engines plus the side-car lookups, owned and
+    // mapped (its ranked order is canonical regardless of candidate
+    // order). The serving layer's own owned ≡ mapped ranking check is
+    // ShardedSnapshotTest's.
     for (size_t i = 0; i < 6; ++i) {
-      queries.push_back(TopKQuery{specs[i].query, specs[i].query_size});
-    }
-    std::vector<std::vector<TopKResult>> topk_a(queries.size());
-    std::vector<std::vector<TopKResult>> topk_b(queries.size());
-    QueryContext tctx_a, tctx_b;
-    ASSERT_TRUE(
-        searcher_a.BatchSearch(queries, 5, &tctx_a, topk_a.data()).ok());
-    ASSERT_TRUE(
-        searcher_b.BatchSearch(queries, 5, &tctx_b, topk_b.data()).ok());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(topk_b[i], topk_a[i]) << "topk query " << i;
+      const TopKQuery query{specs[i].query, specs[i].query_size};
+      EXPECT_EQ(ReferenceTopK(b, query, 5), ReferenceTopK(a, query, 5))
+          << "topk query " << i;
     }
   }
 

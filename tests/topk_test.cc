@@ -1,3 +1,8 @@
+// Top-k search end to end on the serving layer it runs on
+// (ShardedEnsemble::BatchSearch): ranking quality against exact
+// containment, batch ≡ one-query-at-a-time, argument validation, and
+// ranking over a mid-lifecycle index (delta + tombstones).
+
 #include "core/topk.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +14,7 @@
 #include <vector>
 
 #include "baselines/exact_search.h"
-#include "core/dynamic_ensemble.h"
+#include "core/sharded_ensemble.h"
 #include "data/corpus.h"
 #include "minhash/minhash.h"
 #include "util/random.h"
@@ -17,34 +22,6 @@
 
 namespace lshensemble {
 namespace {
-
-// ------------------------------------------------------------ SketchStore
-
-TEST(SketchStoreTest, AddAndLookup) {
-  auto family = HashFamily::Create(16, 1).value();
-  SketchStore store;
-  std::vector<uint64_t> values = {1, 2, 3};
-  ASSERT_TRUE(store.Add(42, 3, MinHash::FromValues(family, values)).ok());
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_TRUE(store.Contains(42));
-  EXPECT_FALSE(store.Contains(43));
-  EXPECT_EQ(store.SizeOf(42), 3u);
-  EXPECT_EQ(store.SizeOf(43), 0u);
-  EXPECT_NE(store.SignatureOf(42), nullptr);
-  EXPECT_EQ(store.SignatureOf(43), nullptr);
-}
-
-TEST(SketchStoreTest, RejectsDuplicatesAndInvalid) {
-  auto family = HashFamily::Create(16, 1).value();
-  SketchStore store;
-  std::vector<uint64_t> values = {1};
-  ASSERT_TRUE(store.Add(1, 1, MinHash::FromValues(family, values)).ok());
-  EXPECT_TRUE(store.Add(1, 1, MinHash::FromValues(family, values))
-                  .IsInvalidArgument());
-  EXPECT_TRUE(store.Add(2, 0, MinHash::FromValues(family, values))
-                  .IsInvalidArgument());
-  EXPECT_TRUE(store.Add(3, 1, MinHash()).IsInvalidArgument());
-}
 
 // ------------------------------------------------------------ end to end
 
@@ -58,39 +35,58 @@ class TopKSearchTest : public ::testing::Test {
     corpus_ = CorpusGenerator(gen).Generate().value();
 
     family_ = HashFamily::Create(kNumHashes, 5).value();
-    LshEnsembleOptions options;
-    options.num_partitions = 8;
-    options.num_hashes = kNumHashes;
-    options.tree_depth = 4;
-    LshEnsembleBuilder builder(options, family_);
+    index_.emplace(ShardedEnsemble::Create(Options(), family_).value());
     for (size_t i = 0; i < corpus_->size(); ++i) {
       const Domain& domain = corpus_->domain(i);
-      MinHash sketch = MinHash::FromValues(family_, domain.values);
-      ASSERT_TRUE(builder.Add(domain.id, domain.size(), sketch).ok());
-      ASSERT_TRUE(store_.Add(domain.id, domain.size(), std::move(sketch)).ok());
+      ASSERT_TRUE(index_
+                      ->Insert(domain.id, domain.size(),
+                               MinHash::FromValues(family_, domain.values))
+                      .ok());
       ASSERT_TRUE(exact_.Add(domain.id, domain.values).ok());
     }
-    ensemble_ = std::move(builder).Build().value();
+    ASSERT_TRUE(index_->Flush().ok());
     exact_.Build();
+  }
+
+  static ShardedEnsembleOptions Options() {
+    ShardedEnsembleOptions options;
+    options.base.base.num_partitions = 8;
+    options.base.base.num_hashes = kNumHashes;
+    options.base.base.tree_depth = 4;
+    options.base.min_delta_for_rebuild = 1000000;  // tests flush explicitly
+    return options;
+  }
+
+  /// One query's ranking: a BatchSearch of one.
+  static Result<std::vector<TopKResult>> Search(const ShardedEnsemble& index,
+                                                const MinHash& query,
+                                                size_t query_size, size_t k) {
+    const TopKQuery one{&query, query_size};
+    std::vector<TopKResult> out;
+    LSHE_RETURN_IF_ERROR(
+        index.BatchSearch(std::span<const TopKQuery>(&one, 1), k, &out));
+    return out;
+  }
+  Result<std::vector<TopKResult>> Search(const MinHash& query,
+                                         size_t query_size, size_t k) const {
+    return Search(*index_, query, query_size, k);
   }
 
   static constexpr int kNumHashes = 256;
   std::optional<Corpus> corpus_;
   std::shared_ptr<const HashFamily> family_;
-  SketchStore store_;
   ExactSearch exact_;
-  std::optional<LshEnsemble> ensemble_;
+  std::optional<ShardedEnsemble> index_;
 };
 
 TEST_F(TopKSearchTest, TopResultFullyContainsQuery) {
   // The query is itself indexed, so containment 1.0 is achievable — but
   // any superset domain also scores exactly 1.0, so the top result need
   // not be the query itself. It must, however, truly (near-)contain it.
-  TopKSearcher searcher(&*ensemble_, &store_);
   for (size_t qi = 0; qi < corpus_->size(); qi += 401) {
     const Domain& query = corpus_->domain(qi);
     const MinHash sketch = MinHash::FromValues(family_, query.values);
-    auto results = searcher.Search(sketch, query.size(), 5);
+    auto results = Search(sketch, query.size(), 5);
     ASSERT_TRUE(results.ok()) << results.status();
     ASSERT_FALSE(results->empty());
     EXPECT_GT(results->front().estimated_containment, 0.8);
@@ -106,10 +102,9 @@ TEST_F(TopKSearchTest, TopResultFullyContainsQuery) {
 }
 
 TEST_F(TopKSearchTest, ResultsSortedByEstimate) {
-  TopKSearcher searcher(&*ensemble_, &store_);
   const Domain& query = corpus_->domain(17);
   const MinHash sketch = MinHash::FromValues(family_, query.values);
-  auto results = searcher.Search(sketch, query.size(), 20);
+  auto results = Search(sketch, query.size(), 20);
   ASSERT_TRUE(results.ok());
   for (size_t i = 1; i < results->size(); ++i) {
     EXPECT_GE((*results)[i - 1].estimated_containment,
@@ -123,14 +118,13 @@ TEST_F(TopKSearchTest, ResultsSortedByEstimate) {
 }
 
 TEST_F(TopKSearchTest, RecallAgainstExactTopK) {
-  TopKSearcher searcher(&*ensemble_, &store_);
   constexpr size_t kK = 10;
   double recall_sum = 0.0;
   int queries = 0;
   for (size_t qi = 0; qi < corpus_->size(); qi += 97) {
     const Domain& query = corpus_->domain(qi);
     const MinHash sketch = MinHash::FromValues(family_, query.values);
-    auto approx = searcher.Search(sketch, query.size(), kK);
+    auto approx = Search(sketch, query.size(), kK);
     ASSERT_TRUE(approx.ok());
     std::vector<std::pair<uint64_t, double>> truth;
     ASSERT_TRUE(exact_.TopK(query.values, kK, &truth).ok());
@@ -158,10 +152,9 @@ TEST_F(TopKSearchTest, RecallAgainstExactTopK) {
 }
 
 TEST_F(TopKSearchTest, EstimatesTrackExactContainment) {
-  TopKSearcher searcher(&*ensemble_, &store_);
   const Domain& query = corpus_->domain(123);
   const MinHash sketch = MinHash::FromValues(family_, query.values);
-  auto results = searcher.Search(sketch, query.size(), 10);
+  auto results = Search(sketch, query.size(), 10);
   ASSERT_TRUE(results.ok());
   std::vector<std::pair<uint64_t, double>> all;
   ASSERT_TRUE(exact_.Overlaps(query.values, &all).ok());
@@ -176,31 +169,31 @@ TEST_F(TopKSearchTest, EstimatesTrackExactContainment) {
 }
 
 TEST_F(TopKSearchTest, KLargerThanMatchesReturnsAllOverlapping) {
-  TopKSearcher searcher(&*ensemble_, &store_);
   const Domain& query = corpus_->domain(55);
   const MinHash sketch = MinHash::FromValues(family_, query.values);
-  auto results = searcher.Search(sketch, query.size(), 100000);
+  auto results = Search(sketch, query.size(), 100000);
   ASSERT_TRUE(results.ok());
   EXPECT_LE(results->size(), corpus_->size());
   EXPECT_FALSE(results->empty());
 }
 
 TEST_F(TopKSearchTest, InvalidArguments) {
-  TopKSearcher searcher(&*ensemble_, &store_);
   const MinHash sketch =
       MinHash::FromValues(family_, corpus_->domain(0).values);
-  EXPECT_TRUE(searcher.Search(sketch, 10, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(Search(sketch, 10, 0).status().IsInvalidArgument());
 
-  TopKSearcher unbound(nullptr, nullptr);
-  EXPECT_TRUE(unbound.Search(sketch, 10, 5).status().IsFailedPrecondition());
+  // A sketch from another hash family cannot be ranked against the index.
+  auto other_family = HashFamily::Create(kNumHashes, 6).value();
+  const MinHash foreign =
+      MinHash::FromValues(other_family, corpus_->domain(0).values);
+  EXPECT_TRUE(Search(foreign, 10, 5).status().IsInvalidArgument());
 }
 
 TEST_F(TopKSearchTest, EstimatedQuerySizeWorks) {
-  TopKSearcher searcher(&*ensemble_, &store_);
   const Domain& query = corpus_->domain(200);
   const MinHash sketch = MinHash::FromValues(family_, query.values);
   // query_size = 0 -> approx(|Q|) from the sketch (Algorithm 1).
-  auto results = searcher.Search(sketch, 0, 5);
+  auto results = Search(sketch, 0, 5);
   ASSERT_TRUE(results.ok());
   ASSERT_FALSE(results->empty());
   // The query domain itself (or a superset of it) leads the ranking.
@@ -215,7 +208,6 @@ TEST_F(TopKSearchTest, EstimatedQuerySizeWorks) {
 // --------------------------------------------------------- batch search
 
 TEST_F(TopKSearchTest, BatchSearchMatchesRepeatedSearch) {
-  TopKSearcher searcher(&*ensemble_, &store_);
   // Two-pass query build: fill the sketch vector completely before taking
   // any addresses, so the queries never dangle on a reallocation.
   std::vector<size_t> query_indices;
@@ -233,12 +225,11 @@ TEST_F(TopKSearchTest, BatchSearchMatchesRepeatedSearch) {
         TopKQuery{&sketches[i], corpus_->domain(query_indices[i]).size()});
   }
   for (const size_t k : {1ul, 5ul, 20ul}) {
-    QueryContext ctx;
     std::vector<std::vector<TopKResult>> outs(queries.size());
-    ASSERT_TRUE(searcher.BatchSearch(queries, k, &ctx, outs.data()).ok());
+    ASSERT_TRUE(index_->BatchSearch(queries, k, outs.data()).ok());
     for (size_t i = 0; i < queries.size(); ++i) {
       auto sequential =
-          searcher.Search(*queries[i].query, queries[i].query_size, k);
+          Search(*queries[i].query, queries[i].query_size, k);
       ASSERT_TRUE(sequential.ok());
       EXPECT_EQ(outs[i], *sequential) << "query " << i << " k=" << k;
     }
@@ -248,7 +239,6 @@ TEST_F(TopKSearchTest, BatchSearchMatchesRepeatedSearch) {
 TEST_F(TopKSearchTest, BatchSearchEstimatedSizesMatch) {
   // query_size = 0 resolves through the sketch estimate, batched and
   // sequentially alike.
-  TopKSearcher searcher(&*ensemble_, &store_);
   std::vector<MinHash> sketches;
   for (size_t qi = 0; qi < 5 * 331; qi += 331) {
     sketches.push_back(
@@ -258,51 +248,46 @@ TEST_F(TopKSearchTest, BatchSearchEstimatedSizesMatch) {
   for (const MinHash& sketch : sketches) {
     queries.push_back(TopKQuery{&sketch, 0});
   }
-  QueryContext ctx;
   std::vector<std::vector<TopKResult>> outs(queries.size());
-  ASSERT_TRUE(searcher.BatchSearch(queries, 7, &ctx, outs.data()).ok());
+  ASSERT_TRUE(index_->BatchSearch(queries, 7, outs.data()).ok());
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto sequential = searcher.Search(*queries[i].query, 0, 7);
+    auto sequential = Search(*queries[i].query, 0, 7);
     ASSERT_TRUE(sequential.ok());
     EXPECT_EQ(outs[i], *sequential) << "query " << i;
   }
 }
 
 TEST_F(TopKSearchTest, BatchSearchValidation) {
-  TopKSearcher searcher(&*ensemble_, &store_);
-  QueryContext ctx;
   const MinHash sketch =
       MinHash::FromValues(family_, corpus_->domain(0).values);
   const TopKQuery query{&sketch, 10};
   std::vector<TopKResult> out;
   const std::span<const TopKQuery> one(&query, 1);
 
-  EXPECT_TRUE(searcher.BatchSearch({}, 5, &ctx, nullptr).ok());  // empty
-  EXPECT_TRUE(searcher.BatchSearch(one, 0, &ctx, &out).IsInvalidArgument());
-  EXPECT_TRUE(searcher.BatchSearch(one, 5, nullptr, &out).IsInvalidArgument());
-  EXPECT_TRUE(searcher.BatchSearch(one, 5, &ctx, nullptr).IsInvalidArgument());
+  EXPECT_TRUE(index_->BatchSearch({}, 5, nullptr).ok());  // empty
+  EXPECT_TRUE(index_->BatchSearch(one, 0, &out).IsInvalidArgument());
+  EXPECT_TRUE(index_->BatchSearch(one, 5, nullptr).IsInvalidArgument());
   const TopKQuery null_query{nullptr, 10};
-  EXPECT_TRUE(searcher
-                  .BatchSearch(std::span<const TopKQuery>(&null_query, 1), 5,
-                               &ctx, &out)
+  EXPECT_TRUE(index_
+                  ->BatchSearch(std::span<const TopKQuery>(&null_query, 1), 5,
+                                &out)
                   .IsInvalidArgument());
-  TopKSearcher unbound(nullptr, nullptr);
-  EXPECT_TRUE(unbound.BatchSearch(one, 5, &ctx, &out).IsFailedPrecondition());
+  const MinHash invalid;  // family-less
+  const TopKQuery invalid_query{&invalid, 10};
+  EXPECT_TRUE(index_
+                  ->BatchSearch(std::span<const TopKQuery>(&invalid_query, 1),
+                                5, &out)
+                  .IsInvalidArgument());
 }
 
-// --------------------------------------------- dynamic-backed searcher
+// ------------------------------------------- mid-lifecycle ranking
 
 TEST_F(TopKSearchTest, DynamicBackedSearcherRanksDeltaAndSkipsTombstones) {
-  // A dynamic index in mid-rebuild state: most domains indexed, a tail in
-  // the delta, a few removed. The dynamic-backed searcher must rank over
-  // exactly the live set — batch and sequential agreeing.
-  DynamicEnsembleOptions options;
-  options.base.num_partitions = 8;
-  options.base.num_hashes = kNumHashes;
-  options.base.tree_depth = 4;
-  options.min_delta_for_rebuild = 1000000;
+  // An index in mid-rebuild state: most domains indexed, a tail in the
+  // delta, a few removed. Ranking must cover exactly the live set — batch
+  // and one-query-at-a-time agreeing.
   auto family = family_;
-  auto index = DynamicLshEnsemble::Create(options, family).value();
+  auto index = ShardedEnsemble::Create(Options(), family).value();
   constexpr size_t kLive = 1200;
   for (size_t i = 0; i < kLive; ++i) {
     const Domain& domain = corpus_->domain(i);
@@ -322,7 +307,6 @@ TEST_F(TopKSearchTest, DynamicBackedSearcherRanksDeltaAndSkipsTombstones) {
   ASSERT_GT(index.delta_size(), 0u);
   ASSERT_GT(index.tombstone_count(), 0u);
 
-  TopKSearcher searcher(&index);
   // Self-queries for a tombstoned domain (17), indexed domains, and delta
   // domains (>= 1000); sketches filled before any address is taken.
   const std::vector<size_t> query_indices = {17,  202,  404,  606,
@@ -337,12 +321,11 @@ TEST_F(TopKSearchTest, DynamicBackedSearcherRanksDeltaAndSkipsTombstones) {
         TopKQuery{&sketches[i], corpus_->domain(query_indices[i]).size()});
   }
 
-  QueryContext ctx;
   std::vector<std::vector<TopKResult>> outs(queries.size());
-  ASSERT_TRUE(searcher.BatchSearch(queries, 10, &ctx, outs.data()).ok());
+  ASSERT_TRUE(index.BatchSearch(queries, 10, outs.data()).ok());
   for (size_t i = 0; i < queries.size(); ++i) {
     auto sequential =
-        searcher.Search(*queries[i].query, queries[i].query_size, 10);
+        Search(index, *queries[i].query, queries[i].query_size, 10);
     ASSERT_TRUE(sequential.ok());
     EXPECT_EQ(outs[i], *sequential) << "query " << i;
     for (const TopKResult& result : outs[i]) {
@@ -354,11 +337,10 @@ TEST_F(TopKSearchTest, DynamicBackedSearcherRanksDeltaAndSkipsTombstones) {
   ASSERT_FALSE(outs[5].empty());
   EXPECT_GT(outs[5].front().estimated_containment, 0.8);
 
-  // An unbound side-car never happens on the dynamic path: every candidate
-  // is live, so every result is rankable.
+  // Every candidate is live, so every result is rankable.
   for (const auto& out : outs) {
     for (const TopKResult& result : out) {
-      EXPECT_NE(index.SignatureOf(result.id), nullptr);
+      EXPECT_GT(index.SizeOf(result.id), 0u);
     }
   }
 }

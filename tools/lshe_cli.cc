@@ -21,14 +21,16 @@
 // k best containers (top-k mode). `batch-query` treats every column of the
 // query CSV as one query and answers them all in one batched call:
 // threshold mode rides BatchQuery(), `--topk K` ranks every query in one
-// lockstep BatchSearch(). The plain image answers on the calling thread;
-// `--shards N` serves everything from an N-shard scatter/gather
-// ShardedEnsemble rebuilt from the catalog instead, the parallel path
-// (results are identical; throughput scales with cores). `--delta FILE`
-// first layers FILE's columns as unindexed delta domains on that serving
-// layer (one shard without `--shards`; the paper's dynamic-data
-// scenario, Section 6.2), so both modes search indexed + just-arrived
-// data. `stats` prints the partition layout.
+// lockstep BatchSearch(). Plain threshold queries are answered by the
+// image on the calling thread. Top-k, `--shards N` and `--delta` are
+// answered by a ShardedEnsemble rebuilt from the catalog (N shards, one
+// without `--shards`), the engine that answers in parallel and the only
+// one that ranks; results are identical for every N, and throughput
+// scales with cores. `--delta FILE` first layers FILE's columns as
+// unindexed delta domains on that serving layer (the paper's
+// dynamic-data scenario, Section 6.2), so both modes search indexed +
+// just-arrived data. `query --topk K` ranks on the same one-shard layer.
+// `stats` prints the partition layout.
 //
 // `snapshot` converts an index image to the format-v2 zero-copy snapshot
 // (io/snapshot.h) — with `--shards N` it rebuilds the catalog into an
@@ -316,6 +318,25 @@ Result<LshEnsemble> OpenIndex(const Flags& flags) {
   return LoadEnsemble(flags.index);
 }
 
+/// Rebuild the catalog into an N-shard serving layer over the index's
+/// options, every entry flushed and no auto-rebuild: the engine that
+/// answers batches in parallel and ranks top-k.
+Result<ShardedEnsemble> ServingLayerFromCatalog(
+    const LshEnsembleOptions& options, const Catalog& catalog,
+    size_t num_shards) {
+  ShardedEnsembleOptions serving;
+  serving.base.base = options;
+  serving.base.min_delta_for_rebuild = std::numeric_limits<size_t>::max();
+  serving.num_shards = num_shards;
+  auto index = ShardedEnsemble::Create(serving, catalog.family());
+  if (!index.ok()) return index.status();
+  for (const CatalogEntry& entry : catalog.entries()) {
+    LSHE_RETURN_IF_ERROR(index->Insert(entry.id, entry.size, entry.signature));
+  }
+  LSHE_RETURN_IF_ERROR(index->Flush());
+  return index;
+}
+
 int RunIndex(const Flags& flags) {
   if (flags.out.empty() || flags.catalog.empty() || flags.positional.empty()) {
     Usage();
@@ -414,19 +435,23 @@ int RunQuery(const Flags& flags) {
   const MinHash sketch =
       MinHash::FromValues(ensemble->family(), query.values);
 
+  // Top-k ranks on the one-shard serving layer, built before the clock
+  // and the deadline start.
+  std::optional<ShardedEnsemble> serving;
+  if (flags.topk > 0) {
+    auto built = ServingLayerFromCatalog(ensemble->options(), *catalog, 1);
+    if (!built.ok()) return Fail(built.status());
+    serving.emplace(std::move(built).value());
+  }
   StopWatch watch;
   const uint64_t deadline_ns =
       flags.deadline_us > 0 ? DeadlineAfterMicros(flags.deadline_us) : 0;
   if (flags.topk > 0) {
-    auto store = catalog->ToSketchStore();
-    if (!store.ok()) return Fail(store.status());
-    TopKSearcher searcher(&*ensemble, &*store);
     const TopKQuery topk_query{&sketch, query.size(), deadline_ns};
     std::vector<TopKResult> ranked;
-    QueryContext ctx;
-    Status status = searcher.BatchSearch(
-        std::span<const TopKQuery>(&topk_query, 1),
-        static_cast<size_t>(flags.topk), &ctx, &ranked);
+    Status status =
+        serving->BatchSearch(std::span<const TopKQuery>(&topk_query, 1),
+                             static_cast<size_t>(flags.topk), &ranked);
     if (!status.ok()) return Fail(status);
     std::printf("top-%d containers of %s (|Q| = %zu, %.1f ms):\n",
                 flags.topk, flags.column.c_str(), query.size(),
@@ -489,34 +514,27 @@ int RunBatchQuery(const Flags& flags) {
   std::vector<MinHash> sketches = sketcher.SketchCorpus(query_corpus);
   const std::vector<Domain>& query_domains = query_corpus.domains();
 
-  // Optional serving layer. --shards N rebuilds the catalog into a
-  // sharded serving layer (hash-partitioned scatter/gather across N
-  // independent dynamic shards, answered in parallel on the thread pool);
-  // --delta FILE layers the file's columns on top as unindexed delta
-  // domains — the paper's dynamic-data scenario (Section 6.2) — on N
-  // shards, or on one without --shards. Both start from the catalog's
-  // side-car (names, sizes, signatures). Without either, the image itself
-  // answers on this thread.
+  // Serving layer. --shards N rebuilds the catalog into a sharded
+  // serving layer (hash-partitioned scatter/gather across N independent
+  // dynamic shards, answered in parallel on the thread pool); --topk and
+  // --delta FILE run on it too, on one shard without --shards. --delta
+  // layers the file's columns on top as unindexed delta domains — the
+  // paper's dynamic-data scenario (Section 6.2). The layer starts from
+  // the catalog's side-car (names, sizes, signatures). Without any of
+  // the three, the image itself answers on this thread.
   std::optional<ShardedEnsemble> sharded;
   std::unordered_map<uint64_t, std::string> delta_names;
-  if (flags.shards > 0 || !flags.delta_csv.empty()) {
-    ShardedEnsembleOptions sharded_options;
-    sharded_options.base.base = ensemble->options();
-    sharded_options.base.min_delta_for_rebuild =
-        std::numeric_limits<size_t>::max();
-    sharded_options.num_shards = static_cast<size_t>(std::max(flags.shards, 1));
-    auto built = ShardedEnsemble::Create(sharded_options, catalog->family());
+  if (flags.shards > 0 || !flags.delta_csv.empty() || flags.topk > 0) {
+    auto built = ServingLayerFromCatalog(
+        ensemble->options(), *catalog,
+        static_cast<size_t>(std::max(flags.shards, 1)));
     if (!built.ok()) return Fail(built.status());
     sharded.emplace(std::move(built).value());
-    uint64_t max_id = 0;
-    for (const CatalogEntry& entry : catalog->entries()) {
-      Status status = sharded->Insert(entry.id, entry.size, entry.signature);
-      if (!status.ok()) return Fail(status);
-      max_id = std::max(max_id, entry.id);
-    }
-    Status status = sharded->Flush();
-    if (!status.ok()) return Fail(status);
     if (!flags.delta_csv.empty()) {
+      uint64_t max_id = 0;
+      for (const CatalogEntry& entry : catalog->entries()) {
+        max_id = std::max(max_id, entry.id);
+      }
       auto delta_table = ReadCsvFile(flags.delta_csv);
       if (!delta_table.ok()) return Fail(delta_table.status());
       const std::vector<Domain> delta_domains =
@@ -526,7 +544,7 @@ int RunBatchQuery(const Flags& flags) {
             "no delta columns extracted from " + flags.delta_csv));
       }
       for (const Domain& domain : delta_domains) {
-        status = sharded->Insert(domain.id, domain.values);
+        const Status status = sharded->Insert(domain.id, domain.values);
         if (!status.ok()) return Fail(status);
         delta_names.emplace(domain.id, domain.name);
       }
@@ -543,16 +561,6 @@ int RunBatchQuery(const Flags& flags) {
 
   if (flags.topk > 0) {
     // One lockstep BatchSearch ranks every query column.
-    std::optional<SketchStore> store;
-    std::optional<TopKSearcher> searcher;
-    if (sharded.has_value()) {
-      searcher.emplace(&*sharded);
-    } else {
-      auto built = catalog->ToSketchStore();
-      if (!built.ok()) return Fail(built.status());
-      store.emplace(std::move(built).value());
-      searcher.emplace(&*ensemble, &*store);
-    }
     const uint64_t deadline_ns =
         flags.deadline_us > 0 ? DeadlineAfterMicros(flags.deadline_us) : 0;
     std::vector<TopKQuery> topk_queries(query_domains.size());
@@ -561,10 +569,9 @@ int RunBatchQuery(const Flags& flags) {
           TopKQuery{&sketches[i], query_domains[i].size(), deadline_ns};
     }
     std::vector<std::vector<TopKResult>> outs(topk_queries.size());
-    QueryContext ctx;
     StopWatch watch;
-    Status status = searcher->BatchSearch(
-        topk_queries, static_cast<size_t>(flags.topk), &ctx, outs.data());
+    Status status = sharded->BatchSearch(
+        topk_queries, static_cast<size_t>(flags.topk), outs.data());
     if (!status.ok()) return Fail(status);
     const double elapsed = watch.ElapsedSeconds();
     for (size_t i = 0; i < query_domains.size(); ++i) {
@@ -637,18 +644,10 @@ int RunSnapshot(const Flags& flags) {
     if (!ensemble.ok()) return Fail(ensemble.status());
     auto catalog = Catalog::Load(flags.catalog);
     if (!catalog.ok()) return Fail(catalog.status());
-    ShardedEnsembleOptions options;
-    options.base.base = ensemble->options();
-    options.base.min_delta_for_rebuild = std::numeric_limits<size_t>::max();
-    options.num_shards = static_cast<size_t>(flags.shards);
-    auto sharded = ShardedEnsemble::Create(options, catalog->family());
+    auto sharded = ServingLayerFromCatalog(
+        ensemble->options(), *catalog, static_cast<size_t>(flags.shards));
     if (!sharded.ok()) return Fail(sharded.status());
-    for (const CatalogEntry& entry : catalog->entries()) {
-      Status status = sharded->Insert(entry.id, entry.size, entry.signature);
-      if (!status.ok()) return Fail(status);
-    }
-    Status status = sharded->Flush();
-    if (status.ok()) status = sharded->SaveSnapshot(flags.out);
+    const Status status = sharded->SaveSnapshot(flags.out);
     if (!status.ok()) return Fail(status);
     std::printf(
         "wrote %d-shard v2 snapshot of %zu domains in %.2fs\n"
@@ -781,19 +780,11 @@ int RunCluster(const Flags& flags) {
     if (!ensemble.ok()) return Fail(ensemble.status());
     auto catalog = Catalog::Load(flags.catalog);
     if (!catalog.ok()) return Fail(catalog.status());
-    ShardedEnsembleOptions serving;
-    serving.base.base = ensemble->options();
-    serving.base.min_delta_for_rebuild = std::numeric_limits<size_t>::max();
-    serving.num_shards = flags.shards > 0 ? static_cast<size_t>(flags.shards)
-                                          : 1;
-    auto built = ShardedEnsemble::Create(serving, catalog->family());
+    auto built = ServingLayerFromCatalog(
+        ensemble->options(), *catalog,
+        static_cast<size_t>(std::max(flags.shards, 1)));
     if (!built.ok()) return Fail(built.status());
     index.emplace(std::move(built).value());
-    for (const CatalogEntry& entry : catalog->entries()) {
-      Status status = index->Insert(entry.id, entry.size, entry.signature);
-      if (!status.ok()) return Fail(status);
-    }
-    if (Status status = index->Flush(); !status.ok()) return Fail(status);
   } else {
     Usage();
     return 2;
