@@ -97,10 +97,13 @@ void BM_TunerOptimize(benchmark::State& state) {
   options.max_r = 8;
   auto tuner = std::move(Tuner::Create(options)).value();
   // Every iteration misses the memo: 49 ratios times 4,000 thresholds
-  // give ~196k distinct keys before one repeats, and the memo holds at
-  // most Tuner::kMaxCacheEntries of them.
-  double ratio = 1.0;
-  double t_star = 0.3;
+  // give ~196k distinct keys before one repeats, and the memo's
+  // Tuner::kMaxCacheEntries slots in 4-way sets have evicted each key
+  // long before it comes round again. Every Tuner with these Options
+  // shares one memo, so the key stream resumes where the previous run
+  // of this benchmark stopped rather than re-tuning keys it warmed.
+  static double ratio = 1.0;
+  static double t_star = 0.3;
   for (auto _ : state) {
     benchmark::DoNotOptimize(tuner->Tune(ratio * 50, 50, t_star));
     ratio = ratio < 100 ? ratio * 1.1 : 1.0;
@@ -109,6 +112,8 @@ void BM_TunerOptimize(benchmark::State& state) {
 }
 BENCHMARK(BM_TunerOptimize);
 
+// One hot key read by 1 and 4 threads: a hit writes no shared memory,
+// so the per-hit time stays flat as readers are added.
 void BM_TunerCached(benchmark::State& state) {
   Tuner::Options options;
   auto tuner = std::move(Tuner::Create(options)).value();
@@ -116,7 +121,7 @@ void BM_TunerCached(benchmark::State& state) {
     benchmark::DoNotOptimize(tuner->Tune(1000, 50, 0.5));
   }
 }
-BENCHMARK(BM_TunerCached);
+BENCHMARK(BM_TunerCached)->Threads(1)->Threads(4);
 
 void BM_ThresholdConversion(benchmark::State& state) {
   double t = 0.01;

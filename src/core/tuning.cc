@@ -1,10 +1,13 @@
 #include "core/tuning.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/threshold.h"
@@ -50,9 +53,131 @@ Status Tuner::Options::Validate() const {
   return Status::OK();
 }
 
+namespace {
+
+// Misses across every Tuner; each one's ordinal also stamps the slot it
+// fills (see Slot).
+std::atomic<uint64_t> g_misses{0};
+
+// One memo entry behind a seqlock. `seq` is 0 while the slot is empty,
+// odd while a writer fills it, and otherwise twice the miss ordinal of its
+// last write. Ordinals are unique, so an even value never returns to a
+// slot: a reader that loads the same even `seq` before and after the
+// fields read one writer's fields. Every field is atomic, so no access is
+// a data race.
+struct Slot {
+  std::atomic<uint64_t> seq{0};
+  std::atomic<uint64_t> key{0};
+  std::atomic<uint64_t> br{0};  // b << 32 | r
+  std::atomic<uint64_t> fp{0};  // bits of TunedParams::fp
+  std::atomic<uint64_t> fn{0};  // bits of TunedParams::fn
+};
+
+constexpr size_t kWays = 4;
+constexpr size_t kSets = Tuner::kMaxCacheEntries / kWays;
+static_assert(std::has_single_bit(kSets));
+
+size_t SetOf(uint64_t key) {
+  // splitmix64's finalizer: CacheKey's low bits are the threshold alone.
+  key ^= key >> 30;
+  key *= 0xbf58476d1ce4e5b9ull;
+  key ^= key >> 27;
+  key *= 0x94d049bb133111ebull;
+  key ^= key >> 31;
+  return static_cast<size_t>(key >> (64 - std::countr_zero(kSets)));
+}
+
+}  // namespace
+
+class Tuner::Memo {
+ public:
+  bool Find(uint64_t key, TunedParams* out) const {
+    const Slot* set = &slots_[SetOf(key) * kWays];
+    for (size_t way = 0; way < kWays; ++way) {
+      const Slot& slot = set[way];
+      const uint64_t seq = slot.seq.load(std::memory_order_acquire);
+      if (seq == 0 || (seq & 1) != 0) continue;
+      // Acquire field loads keep the closing `seq` load after them, and a
+      // field written by a later writer makes that load see its odd claim.
+      if (slot.key.load(std::memory_order_acquire) != key) continue;
+      const uint64_t br = slot.br.load(std::memory_order_acquire);
+      const uint64_t fp = slot.fp.load(std::memory_order_acquire);
+      const uint64_t fn = slot.fn.load(std::memory_order_acquire);
+      if (slot.seq.load(std::memory_order_relaxed) != seq) continue;
+      *out = TunedParams{static_cast<int>(br >> 32),
+                         static_cast<int>(br & 0xffffffffu),
+                         std::bit_cast<double>(fp), std::bit_cast<double>(fn)};
+      return true;
+    }
+    return false;
+  }
+
+  // Victim: the way already holding `key`, else an empty way or the one
+  // written longest ago. A writer that loses the claim drops its entry.
+  void Store(uint64_t key, const TunedParams& params, uint64_t ordinal) {
+    Slot* set = &slots_[SetOf(key) * kWays];
+    Slot* victim = nullptr;
+    uint64_t victim_seq = std::numeric_limits<uint64_t>::max();
+    for (size_t way = 0; way < kWays; ++way) {
+      const uint64_t seq = set[way].seq.load(std::memory_order_relaxed);
+      if ((seq & 1) != 0) continue;
+      if (seq != 0 && set[way].key.load(std::memory_order_relaxed) == key) {
+        victim = &set[way];
+        victim_seq = seq;
+        break;
+      }
+      if (seq < victim_seq) {
+        victim = &set[way];
+        victim_seq = seq;
+      }
+    }
+    if (victim == nullptr ||
+        !victim->seq.compare_exchange_strong(victim_seq, victim_seq | 1,
+                                             std::memory_order_relaxed)) {
+      return;
+    }
+    // Release stores: a reader that sees any of them also sees the claim.
+    victim->key.store(key, std::memory_order_release);
+    victim->br.store(static_cast<uint64_t>(params.b) << 32 |
+                         static_cast<uint32_t>(params.r),
+                     std::memory_order_release);
+    victim->fp.store(std::bit_cast<uint64_t>(params.fp),
+                     std::memory_order_release);
+    victim->fn.store(std::bit_cast<uint64_t>(params.fn),
+                     std::memory_order_release);
+    victim->seq.store(2 * ordinal, std::memory_order_release);
+  }
+
+  size_t Occupied() const {
+    size_t occupied = 0;
+    for (size_t i = 0; i < kMaxCacheEntries; ++i) {
+      occupied += slots_[i].seq.load(std::memory_order_relaxed) != 0;
+    }
+    return occupied;
+  }
+
+ private:
+  Slot slots_[kMaxCacheEntries];
+};
+
 Result<std::unique_ptr<Tuner>> Tuner::Create(const Options& options) {
   LSHE_RETURN_IF_ERROR(options.Validate());
-  return std::unique_ptr<Tuner>(new Tuner(options));
+  // One memo per distinct Options, kept until exit. The lock guards this
+  // registry only; Tune never takes it.
+  struct Registry {
+    std::mutex mutex;
+    std::vector<std::pair<Options, std::unique_ptr<Memo>>> memos;
+  };
+  static Registry* const registry = new Registry;
+  std::lock_guard<std::mutex> lock(registry->mutex);
+  for (const auto& [existing, memo] : registry->memos) {
+    if (existing == options) {
+      return std::unique_ptr<Tuner>(new Tuner(options, memo.get()));
+    }
+  }
+  Memo* memo = registry->memos.emplace_back(options, std::make_unique<Memo>())
+                   .second.get();
+  return std::unique_ptr<Tuner>(new Tuner(options, memo));
 }
 
 uint64_t Tuner::CacheKey(double x_over_q, double t_star) {
@@ -70,23 +195,22 @@ TunedParams Tuner::Tune(double x, double q, double t_star) const {
   assert(t_star >= 0.0 && t_star <= 1.0);
   const double ratio = x / q;
   const uint64_t key = CacheKey(ratio, t_star);
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
-  }
-  TunedParams params = Optimize(ratio, t_star);
-  {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (cache_.size() >= kMaxCacheEntries) cache_.clear();
-    cache_.emplace(key, params);
-  }
+  TunedParams params;
+  if (memo_->Find(key, &params)) return params;
+  const uint64_t ordinal = g_misses.fetch_add(1, std::memory_order_relaxed) + 1;
+  params = Optimize(ratio, t_star);
+  memo_->Store(key, params, ordinal);
   return params;
 }
 
-size_t Tuner::CacheSize() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return cache_.size();
+size_t Tuner::CacheSize() const { return memo_->Occupied(); }
+
+size_t Tuner::CacheSet(double x, double q, double t_star) {
+  return SetOf(CacheKey(x / q, t_star));
+}
+
+uint64_t Tuner::TotalMisses() {
+  return g_misses.load(std::memory_order_relaxed);
 }
 
 TunedParams Tuner::Optimize(double x_over_q, double t_star) const {

@@ -15,10 +15,9 @@
 #ifndef LSHENSEMBLE_CORE_TUNING_H_
 #define LSHENSEMBLE_CORE_TUNING_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
-#include <unordered_map>
 
 #include "util/result.h"
 #include "util/status.h"
@@ -53,13 +52,22 @@ struct TunedParams {
 ///
 /// The full grid is evaluated with a shared integration lattice and
 /// incremental powers, so one call costs O(max_b * max_r * nodes) fused
-/// multiply-adds rather than O(...) pow() calls. Results are cached keyed
-/// on the quantized (x/q, t*) pair; the cache is thread-safe. This realizes
-/// the paper's "the computation of (b, r) can be handled offline" as a
-/// lazily warmed memo table. Both key values come from the query (and so
-/// from the wire), so the memo holds at most kMaxCacheEntries keys and is
-/// cleared when full; answers do not change, because Optimize() is
-/// deterministic.
+/// multiply-adds rather than O(...) pow() calls. This realizes the paper's
+/// "the computation of (b, r) can be handled offline" as a lazily warmed
+/// memo keyed on the quantized (x/q, t*) pair.
+///
+/// The memo is shared: every Tuner in the process with equal Options (each
+/// shard's engine, every rebuilt or reopened engine) reads and warms one
+/// fixed-size table of kMaxCacheEntries slots in 4-way sets, so a key one
+/// engine tuned is a hit for all of them. Each slot is a seqlock of atomic
+/// fields: a hit is atomic loads only and writes no shared memory, and a
+/// reader that overlaps a write sees the slot as a miss, never a torn
+/// entry. Both key values come from the query (and so from the wire); the
+/// slot count is the bound. A miss overwrites an empty way or the way of
+/// its set written longest ago, and a write that races another writer for
+/// the same slot is dropped. An entry holds the answer for the exact
+/// (x/q, t*) of the query that missed; Optimize() is deterministic, so
+/// that query recomputes the same answer after an eviction.
 class Tuner {
  public:
   struct Options {
@@ -68,12 +76,14 @@ class Tuner {
     int integration_nodes = 256;  ///< lattice size per integral segment
 
     Status Validate() const;
+    bool operator==(const Options&) const = default;
   };
 
-  /// Memo bound: about 64 B per key, so 4 MB at most per tuner.
+  /// Slots in each shared memo: 40 B each, so about 2.6 MB per distinct
+  /// Options, allocated when the first Tuner with those Options is created.
   static constexpr size_t kMaxCacheEntries = size_t{1} << 16;
 
-  /// Returned by pointer because the internal cache makes Tuner immovable.
+  /// Binds the process-wide memo for `options`, creating it on first use.
   static Result<std::unique_ptr<Tuner>> Create(const Options& options);
 
   const Options& options() const { return options_; }
@@ -83,18 +93,27 @@ class Tuner {
   /// Preconditions: x > 0, q > 0, 0 <= t_star <= 1.
   TunedParams Tune(double x, double q, double t_star) const;
 
-  /// Number of entries currently memoized (for tests/introspection).
+  /// Occupied slots of this tuner's shared memo (for tests/introspection;
+  /// scans every slot).
   size_t CacheSize() const;
 
+  /// The memo set that Tune(x, q, t_star) looks up (for tests).
+  static size_t CacheSet(double x, double q, double t_star);
+
+  /// Memo misses (Optimize runs) counted over every Tuner in the process.
+  static uint64_t TotalMisses();
+
  private:
-  explicit Tuner(const Options& options) : options_(options) {}
+  class Memo;
+
+  Tuner(const Options& options, Memo* memo)
+      : options_(options), memo_(memo) {}
 
   TunedParams Optimize(double x_over_q, double t_star) const;
   static uint64_t CacheKey(double x_over_q, double t_star);
 
   Options options_;
-  mutable std::shared_mutex mutex_;
-  mutable std::unordered_map<uint64_t, TunedParams> cache_;
+  Memo* memo_;  ///< lives until exit, shared by Tuners with equal Options
 };
 
 }  // namespace lshensemble

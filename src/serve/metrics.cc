@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "core/tuning.h"
+
 namespace lshensemble {
 namespace serve {
 namespace {
@@ -112,6 +114,9 @@ std::string ServerMetrics::RenderPrometheus() const {
   AppendCounter(&out, "lshe_serve_filter_false_admits_total",
                 "Admitted partition probes that found no slot-0 key",
                 get(filter_false_admits));
+  AppendCounter(&out, "lshe_tuner_misses_total",
+                "(b, r) tunings computed because the shared memo missed",
+                Tuner::TotalMisses());
   batch_fill.Render("lshe_serve_batch_fill",
                     "Requests coalesced per dispatch wave", &out);
   coalesce_latency_us.Render(

@@ -112,6 +112,37 @@ class CliFlagsTest(unittest.TestCase):
             self.assertEqual(result.returncode, 0, result.stderr)
             self.assertIn("a.csv:city", result.stdout)
 
+    def test_column_selects_the_same_column_in_both_subcommands(self):
+        tables = {
+            "a.csv": "city,partner\nToronto,Acme\nOttawa,Bob\n"
+                     "Montreal,Acme\n",
+            "b.csv": "town,owner\nLyon,X\nNice,Y\nLille,Z\nBrest,W\n",
+            "q.csv": "city,owner\nToronto,X\nOttawa,Y\nMontreal,Z\n"
+                     "Edmonton,W\n",
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in tables.items():
+                with open(os.path.join(tmp, name), "w",
+                          encoding="utf-8") as f:
+                    f.write(text)
+            result = run_lshe("index", "--out", "idx.lshe", "--catalog",
+                              "idx.cat", "--min-size", "2", "a.csv",
+                              "b.csv", cwd=tmp)
+            self.assertEqual(result.returncode, 0, result.stderr)
+            common = ("--index", "idx.lshe", "--catalog", "idx.cat",
+                      "--query-csv", "q.csv", "--threshold", "0.5")
+            expected = {"city": ["a.csv:city"], "owner": ["b.csv:owner"]}
+            for column, found in expected.items():
+                for command in ("query", "batch-query"):
+                    result = run_lshe(command, *common, "--column", column,
+                                      "--min-size", "2", cwd=tmp)
+                    label = f"{command} --column {column}"
+                    self.assertEqual(result.returncode, 0,
+                                     f"{label}: {result.stderr}")
+                    self.assertEqual(
+                        [line.strip() for line in result.stdout.splitlines()
+                         if line.startswith("  ")], found, label)
+
     def test_topk_is_the_same_on_every_path(self):
         # query --topk, batch-query --topk and batch-query --topk --shards
         # rank the same candidates: the ranked lines (estimate, name) must
@@ -137,8 +168,7 @@ class CliFlagsTest(unittest.TestCase):
             self.assertEqual(result.returncode, 0, result.stderr)
             common = ("--index", "idx.lshe", "--catalog", "idx.cat",
                       "--query-csv", "q.csv", "--topk", "3")
-            # batch-query names its query columns "file:column".
-            batch = ("batch-query", *common, "--column", "q.csv:city",
+            batch = ("batch-query", *common, "--column", "city",
                      "--min-size", "2")
             runs = {
                 "query": ("query", *common, "--column", "city"),

@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <optional>
+#include <set>
 #include <span>
 #include <thread>
 #include <vector>
@@ -286,6 +289,109 @@ TEST_F(ConcurrencyTest, TunerCacheIsThreadSafe) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(disagreements.load(), 0);
+}
+
+// An engine rebuilt over the same records has the same partitions, so it
+// asks the tuner for the same keys; the memo the old engine warmed is
+// shared, and the rebuilt engine's first batch tunes nothing.
+TEST_F(ConcurrencyTest, RebuiltEngineHitsWhatTheOldEngineWarmed) {
+  std::vector<MinHash> sketches;
+  for (size_t qi : query_indices_) {
+    sketches.push_back(MinHash::FromValues(family_, corpus_->domain(qi).values));
+  }
+  std::vector<QuerySpec> specs;
+  for (double t_star : {0.3, 0.5, 0.8}) {
+    for (size_t i = 0; i < query_indices_.size(); ++i) {
+      specs.push_back(QuerySpec{
+          &sketches[i], corpus_->domain(query_indices_[i]).size(), t_star});
+    }
+  }
+  std::vector<std::vector<uint64_t>> expected(specs.size());
+  uint64_t misses = Tuner::TotalMisses();
+  {
+    const ShardedEnsemble old_engine = BuildSharded();
+    ASSERT_TRUE(old_engine.BatchQuery(specs, expected.data()).ok());
+  }
+  EXPECT_GT(Tuner::TotalMisses() - misses, 0u);
+
+  const ShardedEnsemble rebuilt = BuildSharded();
+  std::vector<std::vector<uint64_t>> outs(specs.size());
+  misses = Tuner::TotalMisses();
+  ASSERT_TRUE(rebuilt.BatchQuery(specs, outs.data()).ok());
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 0u);
+  EXPECT_EQ(outs, expected);
+}
+
+// Readers re-tune a fixed key set while a writer streams other keys into
+// the same memo sets, evicting the readers' entries and rewriting their
+// slots. A reader that overlaps a write must see a miss (and recompute),
+// never a mix of two entries: every answer equals the serial one bit for
+// bit.
+TEST_F(ConcurrencyTest, TunerMemoNeverReturnsTornEntries) {
+  Tuner::Options options;
+  options.max_b = 6;
+  options.max_r = 3;
+  options.integration_nodes = 16;
+  auto tuner = Tuner::Create(options).value();
+  constexpr double kQ = 100.0;
+  struct Key {
+    double x;
+    double t_star;
+  };
+  std::vector<Key> read_keys;
+  std::set<size_t> sets;
+  for (int i = 0; i < 8; ++i) {
+    read_keys.push_back(Key{2.0 * kQ, 0.1 + 0.1 * i});
+    sets.insert(Tuner::CacheSet(read_keys.back().x, kQ, read_keys.back().t_star));
+  }
+  std::vector<Key> write_keys;
+  for (int j = 0; j < 20; ++j) {
+    for (int i = 0; i <= 10000; ++i) {
+      const Key key{(3.0 + 0.25 * j) * kQ, i / 10000.0};
+      if (sets.count(Tuner::CacheSet(key.x, kQ, key.t_star)) > 0) {
+        write_keys.push_back(key);
+      }
+    }
+  }
+  ASSERT_GE(write_keys.size(), 4 * sets.size());
+  std::vector<TunedParams> reference;
+  for (const Key& key : read_keys) {
+    reference.push_back(tuner->Tune(key.x, kQ, key.t_star));
+  }
+
+  std::atomic<bool> readers_done{false};
+  std::atomic<int> writer_passes{0};
+  std::atomic<int> torn{0};
+  std::thread writer([&] {
+    while (!readers_done.load() || writer_passes.load() == 0) {
+      for (const Key& key : write_keys) tuner->Tune(key.x, kQ, key.t_star);
+      writer_passes.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      for (int round = 0; round < 20000; ++round) {
+        for (size_t i = 0; i < read_keys.size(); ++i) {
+          const TunedParams got =
+              tuner->Tune(read_keys[i].x, kQ, read_keys[i].t_star);
+          const TunedParams& want = reference[i];
+          if (got.b != want.b || got.r != want.r ||
+              std::bit_cast<uint64_t>(got.fp) !=
+                  std::bit_cast<uint64_t>(want.fp) ||
+              std::bit_cast<uint64_t>(got.fn) !=
+                  std::bit_cast<uint64_t>(want.fn)) {
+            torn.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  readers_done.store(true);
+  writer.join();
+  EXPECT_GT(writer_passes.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
 }
 
 TEST_F(ConcurrencyTest, ParallelTopKSearchesAgree) {

@@ -393,6 +393,37 @@ TEST_F(ServeServerTest, MetricsScrapeOverHttp) {
   EXPECT_NE(response.find("lshe_serve_batch_fill_count"), std::string::npos);
 }
 
+// The value of counter `name` on a /metrics page, or -1 if absent.
+long long CounterValue(const std::string& page, const std::string& name) {
+  const size_t at = page.find("\n" + name + " ");
+  if (at == std::string::npos) return -1;
+  return std::stoll(page.substr(at + name.size() + 2));
+}
+
+// The process-wide tuner miss counter rises on a cold wave and stays flat
+// when the identical wave repeats: every key it needs is memoized.
+TEST_F(ServeServerTest, TunerMissesExportedAndFlatWhenWarm) {
+  auto server = StartServer();
+  Client client = ConnectTo(*server);
+  const auto wave = [&] {
+    for (size_t i = 0; i < corpus_->size(); i += 9) {
+      for (double t_star : {0.3, 0.7}) {
+        ASSERT_TRUE(
+            client.Query(sketches_[i], corpus_->domain(i).size(), t_star)
+                .ok());
+      }
+    }
+  };
+  wave();
+  const long long cold = CounterValue(ScrapeMetrics(*server),
+                                      "lshe_tuner_misses_total");
+  EXPECT_GT(cold, 0);
+  wave();
+  const long long warm = CounterValue(ScrapeMetrics(*server),
+                                      "lshe_tuner_misses_total");
+  EXPECT_EQ(warm, cold);
+}
+
 // The probe-filter counters sum every wave's QueryStats: after a run of
 // native and foreign queries they equal the engine's own per-query
 // counters for the same queries, and /metrics exports both.

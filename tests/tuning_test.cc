@@ -2,15 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/threshold.h"
 #include "util/math.h"
 
 namespace lshensemble {
 namespace {
+
+// Memo answers are compared bit for bit, error masses included.
+void ExpectSameBits(const TunedParams& a, const TunedParams& b) {
+  EXPECT_EQ(a.b, b.b);
+  EXPECT_EQ(a.r, b.r);
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.fp), std::bit_cast<uint64_t>(b.fp));
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.fn), std::bit_cast<uint64_t>(b.fn));
+}
 
 TEST(CandidateProbabilityTest, SpecialCaseB1R1IsJaccard) {
   // With one band of one hash value, P = s (Eq. 22 with b = r = 1).
@@ -157,17 +170,23 @@ TEST(TunerTest, HighThresholdPrefersSelectiveParams) {
 }
 
 TEST(TunerTest, CacheHitsAreConsistent) {
+  // The memo is shared per Options; a grid no other test uses starts it
+  // cold, so every miss below is this test's own.
   Tuner::Options options;
+  options.max_b = 20;
+  options.max_r = 5;
   auto tuner = std::move(Tuner::Create(options)).value();
+  uint64_t misses = Tuner::TotalMisses();
   const TunedParams first = tuner->Tune(1000, 10, 0.5);
-  EXPECT_EQ(tuner->CacheSize(), 1u);
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 1u);
+  misses = Tuner::TotalMisses();
   const TunedParams second = tuner->Tune(1000, 10, 0.5);
-  EXPECT_EQ(tuner->CacheSize(), 1u);
-  EXPECT_EQ(first.b, second.b);
-  EXPECT_EQ(first.r, second.r);
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 0u);
+  ExpectSameBits(first, second);
   // A different threshold misses.
+  misses = Tuner::TotalMisses();
   tuner->Tune(1000, 10, 0.6);
-  EXPECT_EQ(tuner->CacheSize(), 2u);
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 1u);
 }
 
 TEST(TunerTest, MemoIsBounded) {
@@ -181,18 +200,64 @@ TEST(TunerTest, MemoIsBounded) {
   // 20 ratios on the key's log2 lattice (1/4096 of a doubling) times
   // 10,000 thresholds on its 1e-4 lattice: 200,000 distinct keys, the
   // shape of traffic whose sizes and thresholds are all different.
+  // CacheSize() scans the table, so the bound is checked every 10,000.
   for (int i = 0; i < 200000; ++i) {
     const double ratio = std::exp2((i / 10000) / 4096.0);
     const double t_star = (i % 10000) / 10000.0;
     tuner->Tune(ratio * 100.0, 100.0, t_star);
-    ASSERT_LE(tuner->CacheSize(), Tuner::kMaxCacheEntries) << "key " << i;
+    if (i % 10000 == 9999) {
+      ASSERT_LE(tuner->CacheSize(), Tuner::kMaxCacheEntries) << "key " << i;
+    }
   }
-  // Clearing the memo does not change an answer.
+  // The first key's set has since taken more than four newer keys, so it
+  // was evicted; recomputing it does not change the answer.
+  const uint64_t misses = Tuner::TotalMisses();
   const TunedParams after = tuner->Tune(300, 100, 0.37);
-  EXPECT_EQ(after.b, before.b);
-  EXPECT_EQ(after.r, before.r);
-  EXPECT_EQ(after.fp, before.fp);
-  EXPECT_EQ(after.fn, before.fn);
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 1u);
+  ExpectSameBits(after, before);
+}
+
+TEST(TunerTest, EqualOptionsShareTheMemo) {
+  Tuner::Options options;
+  options.max_b = 12;
+  options.max_r = 3;
+  auto first = std::move(Tuner::Create(options)).value();
+  auto second = std::move(Tuner::Create(options)).value();
+  uint64_t misses = Tuner::TotalMisses();
+  const TunedParams warmed = first->Tune(640, 20, 0.42);
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 1u);
+  misses = Tuner::TotalMisses();
+  const TunedParams shared = second->Tune(640, 20, 0.42);
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 0u);
+  ExpectSameBits(shared, warmed);
+}
+
+TEST(TunerTest, DifferentOptionsNeverShareEntries) {
+  // Interleaved on one key, each grid computes and then keeps its own
+  // answer: the small grid's (b, r) cannot come from the large one's.
+  Tuner::Options small_options;
+  small_options.max_b = 2;
+  small_options.max_r = 2;
+  small_options.integration_nodes = 64;
+  Tuner::Options big_options = small_options;
+  big_options.max_b = 32;
+  big_options.max_r = 8;
+  auto small_tuner = std::move(Tuner::Create(small_options)).value();
+  auto big_tuner = std::move(Tuner::Create(big_options)).value();
+  uint64_t misses = Tuner::TotalMisses();
+  const TunedParams small_first = small_tuner->Tune(150, 100, 0.55);
+  const TunedParams big_first = big_tuner->Tune(150, 100, 0.55);
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 2u);
+  EXPECT_LE(small_first.b, 2);
+  EXPECT_LE(small_first.r, 2);
+  EXPECT_TRUE(big_first.b != small_first.b || big_first.r != small_first.r);
+  EXPECT_LT(big_first.objective(), small_first.objective());
+  misses = Tuner::TotalMisses();
+  const TunedParams small_again = small_tuner->Tune(150, 100, 0.55);
+  const TunedParams big_again = big_tuner->Tune(150, 100, 0.55);
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 0u);
+  ExpectSameBits(small_again, small_first);
+  ExpectSameBits(big_again, big_first);
 }
 
 TEST(TunerTest, PredictedErrorsAreProbabilityMasses) {
@@ -222,6 +287,45 @@ TEST(TunerTest, LargerGridNeverHurts) {
     const double big_objective = big_tuner->Tune(500, 50, t).objective();
     EXPECT_LE(big_objective, small_objective + 1e-9);
   }
+}
+
+// `count` keys (x, t*) at q = 100 that share one memo set, found by
+// scanning the threshold lattice at a few ratios.
+std::vector<std::pair<double, double>> KeysInOneSet(size_t count) {
+  std::map<size_t, std::vector<std::pair<double, double>>> by_set;
+  for (double ratio : {0.5, 1.5, 2.5, 3.5, 4.5, 5.5}) {
+    for (int i = 0; i <= 10000; ++i) {
+      const double t_star = i / 10000.0;
+      auto& keys = by_set[Tuner::CacheSet(ratio * 100, 100, t_star)];
+      keys.emplace_back(ratio * 100, t_star);
+      if (keys.size() == count) return keys;
+    }
+  }
+  return {};
+}
+
+TEST(TunerTest, FourKeysInOneSetStayResident) {
+  Tuner::Options options;
+  options.max_b = 4;
+  options.max_r = 4;
+  options.integration_nodes = 16;
+  auto tuner = std::move(Tuner::Create(options)).value();
+  const auto keys = KeysInOneSet(5);
+  ASSERT_EQ(keys.size(), 5u);
+  const auto tune = [&](size_t i) {
+    tuner->Tune(keys[i].first, 100, keys[i].second);
+  };
+  for (size_t i = 0; i < 4; ++i) tune(i);
+  uint64_t misses = Tuner::TotalMisses();
+  for (size_t i = 0; i < 4; ++i) tune(i);
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 0u) << "a set holds four keys";
+  // A fifth key evicts the one written longest ago.
+  misses = Tuner::TotalMisses();
+  tune(4);
+  tune(1);
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 1u);
+  tune(0);
+  EXPECT_EQ(Tuner::TotalMisses() - misses, 2u);
 }
 
 }  // namespace

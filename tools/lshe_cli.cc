@@ -500,9 +500,10 @@ int RunBatchQuery(const Flags& flags) {
   extract.min_domain_size = flags.min_domain_size;
   std::vector<Domain> queries = ExtractDomains(*table, 1, extract);
   if (!flags.column.empty()) {
-    std::erase_if(queries, [&](const Domain& domain) {
-      return domain.name != flags.column;
-    });
+    // --column names a header, as for `query`; domains are "file:column".
+    const std::string name = table->name + ":" + flags.column;
+    std::erase_if(queries,
+                  [&](const Domain& domain) { return domain.name != name; });
   }
   if (queries.empty()) {
     return Fail(Status::InvalidArgument(
